@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
                   "deferred", "near5%",
                   "near10%", "late(under-est)", "late(victims)",
                   "ful(under-est)", "doomable", "scans/job", "skips", "batched",
-                  "bound-skip", "recomp/settle", "kern-skip%"});
+                  "bound-skip", "recomp/settle", "kern-skip%", "views/job"});
   for (const core::Policy policy : core::all_policies()) {
     exp::Scenario scenario = base;
     scenario.policy = policy;
@@ -129,7 +129,13 @@ int main(int argc, char** argv) {
                std::to_string(adm.batched_assessments),
                std::to_string(adm.nodes_batch_skipped),
                table::num(kern.recomputes_per_settle()),
-               table::num(kern.skip_pct(), 1)});
+               table::num(kern.skip_pct(), 1),
+               // Node-view cache rebuilds per job: the admission scan's
+               // executor-side cost (idle nodes are served cached).
+               table::num(r.outcomes.empty()
+                              ? 0.0
+                              : static_cast<double>(kern.view_rebuilds) /
+                                    static_cast<double>(r.outcomes.size()))});
   }
   std::cout << "inaccuracy " << inaccuracy_opt.value << "%, work-conserving "
             << (wc_opt.value ? "on" : "off") << ":\n"

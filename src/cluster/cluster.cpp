@@ -14,6 +14,8 @@ Cluster::Cluster(std::vector<NodeSpec> nodes, double reference_rating)
     LIBRISK_CHECK(nodes_[i].id == i, "node ids must be dense 0..n-1");
     LIBRISK_CHECK(nodes_[i].rating > 0.0, "node rating must be positive");
   }
+  speed_.reserve(nodes_.size());
+  for (const NodeSpec& n : nodes_) speed_.push_back(n.rating / reference_rating_);
 }
 
 Cluster Cluster::homogeneous(int count, double rating) {
@@ -29,10 +31,6 @@ Cluster Cluster::sdsc_sp2() { return homogeneous(128, 168.0); }
 const NodeSpec& Cluster::node(NodeId id) const {
   LIBRISK_CHECK(id >= 0 && id < size(), "node id " << id << " out of range");
   return nodes_[id];
-}
-
-double Cluster::speed_factor(NodeId id) const {
-  return node(id).rating / reference_rating_;
 }
 
 double Cluster::min_speed_factor() const noexcept {

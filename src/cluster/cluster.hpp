@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "support/check.hpp"
+
 namespace librisk::cluster {
 
 using NodeId = int;
@@ -34,8 +36,12 @@ class Cluster {
   [[nodiscard]] double reference_rating() const noexcept { return reference_rating_; }
 
   /// Wall-clock speed factor of a node: reference-seconds executed per
-  /// second when a job holds the whole node.
-  [[nodiscard]] double speed_factor(NodeId id) const;
+  /// second when a job holds the whole node. Precomputed per node; inline
+  /// because every admission scan reads it for every node it assesses.
+  [[nodiscard]] double speed_factor(NodeId id) const {
+    LIBRISK_CHECK(id >= 0 && id < size(), "node id " << id << " out of range");
+    return speed_[static_cast<std::size_t>(id)];
+  }
 
   /// Minimum speed factor across the cluster (bounds a job's best-case
   /// runtime when node placement is unknown).
@@ -51,6 +57,7 @@ class Cluster {
  private:
   std::vector<NodeSpec> nodes_;
   double reference_rating_;
+  std::vector<double> speed_;  ///< rating / reference_rating_, per node
 };
 
 }  // namespace librisk::cluster

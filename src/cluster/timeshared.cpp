@@ -1,6 +1,7 @@
 #include "cluster/timeshared.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_set>
 
 #include "obs/telemetry.hpp"
@@ -21,6 +22,37 @@ namespace {
 /// between ulp(est) for trace-scale estimates (~1e-9) and the smallest
 /// meaningful work quantum.
 constexpr double kWorkEpsilon = 1e-6;
+
+bool same_bits(double a, double b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) noexcept {
+  return std::ranges::equal(a, b, [](double x, double y) { return same_bits(x, y); });
+}
+
+/// Bitwise equality of two node views. Every scalar is deterministic even
+/// when its part was not requested; the gated share columns are compared
+/// only when populated.
+bool same_view(const NodeStateView& a, const NodeStateView& b) noexcept {
+  const core::ResidentRiskAggregates& ra = a.risk_current;
+  const core::ResidentRiskAggregates& rb = b.risk_current;
+  return a.parts == b.parts && std::ranges::equal(a.jobs, b.jobs) &&
+         same_bits(a.remaining_raw, b.remaining_raw) &&
+         same_bits(a.remaining_current, b.remaining_current) &&
+         same_bits(a.remaining_deadline, b.remaining_deadline) &&
+         same_bits(a.rate, b.rate) &&
+         ((a.parts & kStateSharesRaw) == 0 || same_bits(a.share_raw, b.share_raw)) &&
+         ((a.parts & kStateSharesCurrent) == 0 ||
+          same_bits(a.share_current, b.share_current)) &&
+         same_bits(a.total_share_raw, b.total_share_raw) &&
+         same_bits(a.total_share_current, b.total_share_current) &&
+         same_bits(a.available_capacity, b.available_capacity) &&
+         same_bits(a.min_remaining_deadline, b.min_remaining_deadline) &&
+         same_bits(ra.share_sum, rb.share_sum) && same_bits(ra.dd_sum, rb.dd_sum) &&
+         same_bits(ra.dd_sum_sq, rb.dd_sum_sq) && same_bits(ra.dd_max, rb.dd_max) &&
+         same_bits(ra.dd_min, rb.dd_min) && ra.computed == rb.computed;
+}
 }  // namespace
 
 double TaskView::remaining_estimate_raw() const noexcept {
@@ -43,6 +75,7 @@ TimeSharedExecutor::TimeSharedExecutor(sim::Simulator& simulator,
   const auto n = static_cast<std::size_t>(cluster_.size());
   node_jobs_.resize(n);
   node_tasks_.resize(n);
+  node_serial_.assign(n, 1);
   node_cache_.resize(n);
   multi_pos_.assign(n, -1);
   node_demand_.assign(n, 0.0);
@@ -87,6 +120,7 @@ void TimeSharedExecutor::start(const Job& job, std::vector<NodeId> nodes) {
   for (const NodeId n : it->second.nodes) {
     node_jobs_[n].push_back(job.id);
     node_tasks_[n].push_back(&it->second);
+    ++node_serial_[n];
     if (node_tasks_[n].size() == 2) multi_add(n);
     start_touched_.push_back(n);
   }
@@ -135,33 +169,24 @@ double TimeSharedExecutor::node_available_capacity(NodeId node) const {
   return node_state(node, kStateCapacity).available_capacity;
 }
 
-const NodeStateView& TimeSharedExecutor::node_state(NodeId node,
-                                                    NodeStateParts parts) const {
-  LIBRISK_CHECK(node >= 0 && node < cluster_.size(), "node " << node << " out of range");
-  NodeCache& cache = node_cache_[node];
-  // An empty node's view is time-independent, so epoch agreement alone
-  // keeps it fresh across submissions; a populated view also pins the
-  // instant it was computed at (remaining deadlines shrink with time) and
-  // must already hold every requested gated part.
-  const bool fresh = cache.epoch == epoch_ &&
-                     (cache.view.empty() || cache.at == sim_.now()) &&
-                     (parts & ~cache.view.parts) == 0;
-  if (!fresh) rebuild_node_cache(node, cache, parts);
-  return cache.view;
-}
-
 void TimeSharedExecutor::rebuild_node_cache(NodeId node, NodeCache& cache,
                                             NodeStateParts parts) const {
+  ++stats_.view_rebuilds;
+  // Parts the cache still holds validly are folded into the rebuild rather
+  // than dropped (a narrower request after a wider one keeps the wider).
+  fill_node_cache(node, cache,
+                  parts | (view_fresh(cache, node) ? cache.view.parts : 0));
+}
+
+void TimeSharedExecutor::fill_node_cache(NodeId node, NodeCache& cache,
+                                         NodeStateParts parts) const {
   const sim::SimTime now = sim_.now();
   const double speed = cluster_.speed_factor(node);
-  const std::vector<Task*>& residents = node_tasks_[node];
+  const std::vector<Task*>& residents = node_tasks_[static_cast<std::size_t>(node)];
   const std::size_t n = residents.size();
 
-  // Parts already built at this same (epoch, instant) stay valid, so fold
-  // them into the rebuild rather than dropping them; an empty node's view
-  // is so cheap that it always carries every part.
-  const bool base_fresh = cache.epoch == epoch_ && (n == 0 || cache.at == now);
-  NodeStateParts want = parts | (base_fresh ? cache.view.parts : 0);
+  // An empty node's view is so cheap that it always carries every part.
+  NodeStateParts want = parts;
   if ((want & kStateRiskAggregates) != 0) want |= kStateSharesCurrent;
   if (n == 0) want = kStateAll;
   const bool want_raw = (want & kStateSharesRaw) != 0;
@@ -216,6 +241,7 @@ void TimeSharedExecutor::rebuild_node_cache(NodeId node, NodeCache& cache,
 
   cache.epoch = epoch_;
   cache.at = now;
+  cache.serial = node_serial_[static_cast<std::size_t>(node)];
   cache.view.jobs = cache.jobs;
   cache.view.remaining_raw = cache.remaining_raw;
   cache.view.remaining_current = cache.remaining_current;
@@ -290,6 +316,7 @@ void TimeSharedExecutor::remove_task_from_nodes(Task& task) {
     jobs.erase(std::remove(jobs.begin(), jobs.end(), task.job->id), jobs.end());
     auto& tasks = node_tasks_[n];
     tasks.erase(std::remove(tasks.begin(), tasks.end(), &task), tasks.end());
+    ++node_serial_[n];
     if (multi_pos_[n] >= 0 && tasks.size() < 2) multi_remove(n);
   }
   if (task.heap_pos >= 0) bheap_remove(&task);
@@ -412,6 +439,9 @@ void TimeSharedExecutor::attach(const Hooks& hooks) {
   reg.counter_fn("kernel_boundary_updates",
                  "boundary-heap insert/move operations",
                  [this] { return stats_.boundary_updates; });
+  reg.counter_fn("kernel_view_rebuilds",
+                 "node_state() cache rebuilds",
+                 [this] { return stats_.view_rebuilds; });
   reg.gauge_fn("running_jobs", "jobs currently executing",
                [this] { return static_cast<double>(tasks_.size()); });
   reg.gauge_fn("delivered_node_seconds",
@@ -852,6 +882,17 @@ void TimeSharedExecutor::check_invariants() const {
   for (std::size_t i = 1; i < bheap_.size(); ++i)
     LIBRISK_CHECK(!boundary_before(bheap_[i], bheap_[(i - 1) / 2]),
                   "boundary heap order violated at slot " << i);
+
+  // Cache soundness: a view node_state() would serve without rebuilding
+  // must equal a from-scratch rebuild of the same parts, bit for bit.
+  NodeCache rebuilt;
+  for (NodeId n = 0; n < cluster_.size(); ++n) {
+    const NodeCache& cache = node_cache_[static_cast<std::size_t>(n)];
+    if (!view_fresh(cache, n)) continue;
+    fill_node_cache(n, rebuilt, cache.view.parts);
+    LIBRISK_CHECK(same_view(cache.view, rebuilt.view),
+                  "node " << n << " would serve a stale cached view");
+  }
 }
 
 }  // namespace librisk::cluster

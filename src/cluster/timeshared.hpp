@@ -43,6 +43,7 @@
 #include "cluster/timeline.hpp"
 #include "core/risk.hpp"  // header-only value types (ResidentRiskAggregates)
 #include "sim/simulator.hpp"
+#include "support/check.hpp"
 #include "support/hooks.hpp"
 #include "trace/recorder.hpp"
 #include "workload/job.hpp"
@@ -133,6 +134,10 @@ struct KernelStats {
   std::uint64_t tasks_skipped = 0;     ///< resident-settle pairs left untouched
   std::uint64_t reanchors = 0;         ///< work anchors advanced (rate changes)
   std::uint64_t boundary_updates = 0;  ///< boundary-heap insert/move operations
+  /// node_state() calls that had to rebuild the node's cached view (the
+  /// rest were served from the cache). Deterministic, like the above; reads
+  /// by observers (the telemetry per-node sampler) count too.
+  std::uint64_t view_rebuilds = 0;
 
   /// Derived views shared by every stats surface (CLI, diagnose, telemetry)
   /// so the arithmetic lives in exactly one place. All are 0 when the
@@ -210,11 +215,15 @@ class TimeSharedExecutor {
   /// (always 0 in work-conserving modes, which use everything).
   [[nodiscard]] double node_available_capacity(NodeId node) const;
   /// Resident snapshot + aggregates for one node, served from a per-node
-  /// cache invalidated by the state epoch (below) and, for non-empty nodes,
-  /// by simulation time. Each requested part is computed at most once per
-  /// admission scan (parts accumulate in the cache); empty nodes stay
-  /// cached across submissions until a start touches them. Call sync()
-  /// first mid-simulation, like the other views.
+  /// cache. A populated node's view is valid for one (state epoch, instant)
+  /// pair: any start, completion, overrun, kill or time advance anywhere
+  /// rebuilds it on its next read. An empty node's view does not depend on
+  /// time or on other nodes, so it is keyed on the node's own membership
+  /// serial instead (bumped only when a job starts on or leaves that node)
+  /// and stays cached across submissions while the node stays idle. Each
+  /// requested part is computed at most once per validity window (parts
+  /// accumulate in the cache); KernelStats::view_rebuilds counts the
+  /// rebuilds. Call sync() first mid-simulation, like the other views.
   [[nodiscard]] const NodeStateView& node_state(
       NodeId node, NodeStateParts parts = kStateAll) const;
   /// Monotonic counter bumped whenever observable execution state changes
@@ -230,7 +239,9 @@ class TimeSharedExecutor {
   [[nodiscard]] const KernelStats& kernel_stats() const noexcept { return stats_; }
 
   /// Validates internal invariants (tests / failure injection); throws
-  /// CheckError on violation.
+  /// CheckError on violation. Includes cache soundness: every node view
+  /// node_state() would serve without rebuilding equals a from-scratch
+  /// rebuild bit for bit.
   void check_invariants() const;
 
  private:
@@ -308,8 +319,9 @@ class TimeSharedExecutor {
   /// Lazily rebuilt per-node admission view (see node_state()). SoA
   /// columns are grow-only storage the view's spans alias.
   struct NodeCache {
-    std::uint64_t epoch = 0;  ///< 0 = never built (epoch_ starts at 1)
-    sim::SimTime at = 0.0;
+    std::uint64_t epoch = 0;   ///< state epoch at build
+    sim::SimTime at = 0.0;     ///< instant of build
+    std::uint64_t serial = 0;  ///< node membership serial at build; 0 = never built
     std::vector<const Job*> jobs;
     std::vector<double> remaining_raw;
     std::vector<double> remaining_current;
@@ -319,8 +331,20 @@ class TimeSharedExecutor {
     std::vector<double> share_current;
     NodeStateView view;
   };
+  /// Whether `cache` still describes `node`, for the parts it holds.
+  [[nodiscard]] bool view_fresh(const NodeCache& cache, NodeId node) const noexcept {
+    return cache.view.empty()
+               ? cache.serial == node_serial_[static_cast<std::size_t>(node)]
+               : cache.epoch == epoch_ && cache.at == sim_.now();
+  }
+  /// Counts a rebuild and refills `cache` with `parts` plus whatever parts
+  /// it already holds validly.
   void rebuild_node_cache(NodeId node, NodeCache& cache,
                           NodeStateParts parts) const;
+  /// Fills `cache` from scratch with exactly `parts` (all parts when the
+  /// node is empty).
+  void fill_node_cache(NodeId node, NodeCache& cache,
+                       NodeStateParts parts) const;
 
   sim::Simulator& sim_;
   const Cluster& cluster_;
@@ -335,6 +359,9 @@ class TimeSharedExecutor {
   /// stable), so per-node scans skip the map lookups.
   std::vector<std::vector<Task*>> node_tasks_;
   std::uint64_t epoch_ = 1;
+  /// Per-node membership serial: bumped whenever a task joins or leaves
+  /// the node. Starts at 1 so a never-built cache (serial 0) is stale.
+  std::vector<std::uint64_t> node_serial_;
   mutable std::vector<NodeCache> node_cache_;
   sim::SimTime last_settle_ = 0.0;
   sim::EventId pending_boundary_{};
@@ -347,7 +374,7 @@ class TimeSharedExecutor {
   /// the start itself (not the settle) changed the membership.
   bool pending_start_realloc_ = false;
 
-  KernelStats stats_;
+  mutable KernelStats stats_;  ///< mutable: node_state() counts view rebuilds
   std::uint64_t settle_serial_ = 0;
   std::vector<Task*> bheap_;            ///< boundary min-heap (incremental)
   /// Nodes with >= 2 residents (the only ones where work-conserving pacing
@@ -369,5 +396,16 @@ class TimeSharedExecutor {
   std::vector<Killed> killed_buf_;
   std::vector<Overrun> overrun_buf_;
 };
+
+// Inline: every admission scan runs this check for every node it assesses,
+// and most reads hit the cache.
+inline const NodeStateView& TimeSharedExecutor::node_state(
+    NodeId node, NodeStateParts parts) const {
+  LIBRISK_CHECK(node >= 0 && node < cluster_.size(), "node " << node << " out of range");
+  NodeCache& cache = node_cache_[static_cast<std::size_t>(node)];
+  if ((parts & ~cache.view.parts) != 0 || !view_fresh(cache, node))
+    rebuild_node_cache(node, cache, parts);
+  return cache.view;
+}
 
 }  // namespace librisk::cluster

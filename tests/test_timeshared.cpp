@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <map>
 
 #include "helpers.hpp"
@@ -307,23 +309,175 @@ TEST(TimeShared, StateEpochInvalidation) {
   EXPECT_TRUE(f.completions.contains(1));
 }
 
-// An empty node's view is time-independent: it must stay valid (and cheap)
-// across time advances with no epoch churn.
+// An empty node's view is time-independent: it stays cached across time
+// advances even though the epoch moves (work advanced elsewhere), while the
+// populated node's view is rebuilt.
 TEST(TimeShared, EmptyNodeViewStableAcrossTime) {
   Fixture f(2);
   const Job job = JobBuilder(1).set_runtime(100.0).deadline(400.0).build();
   f.executor.start(job, {0});
-  const std::uint64_t e = f.executor.state_epoch();
   const NodeStateView& idle = f.executor.node_state(1);
   EXPECT_TRUE(idle.empty());
-  f.simulator.at(10.0, sim::EventPriority::Control, [] {});
-  f.simulator.run_until(10.0);
-  f.executor.sync();  // work advanced on node 0 => epoch bumps
-  EXPECT_GT(f.executor.state_epoch(), e);
-  const NodeStateView& idle2 = f.executor.node_state(1);
-  EXPECT_TRUE(idle2.empty());
-  EXPECT_EQ(idle2.min_remaining_deadline, sim::kTimeInfinity);
-  f.executor.check_invariants();
+  (void)f.executor.node_state(0);
+  for (const double t : {10.0, 20.0}) {
+    const std::uint64_t e = f.executor.state_epoch();
+    const std::uint64_t rebuilds = f.executor.kernel_stats().view_rebuilds;
+    f.simulator.at(t, sim::EventPriority::Control, [] {});
+    f.simulator.run_until(t);
+    f.executor.sync();  // work advanced on node 0 => epoch bumps
+    EXPECT_GT(f.executor.state_epoch(), e);
+    const NodeStateView& idle2 = f.executor.node_state(1);
+    EXPECT_TRUE(idle2.empty());
+    EXPECT_EQ(idle2.min_remaining_deadline, sim::kTimeInfinity);
+    EXPECT_EQ(f.executor.kernel_stats().view_rebuilds, rebuilds)
+        << "idle node rebuilt at t=" << t;
+    (void)f.executor.node_state(0);
+    EXPECT_EQ(f.executor.kernel_stats().view_rebuilds, rebuilds + 1)
+        << "populated node served stale at t=" << t;
+    f.executor.check_invariants();
+  }
+}
+
+// A node that empties and refills at one instant: the empty view read in
+// between is cached, and the start must still invalidate it (completion).
+TEST(TimeShared, SameInstantCompletionThenStartShowsNewResident) {
+  Fixture f(1);
+  const Job a = JobBuilder(1).set_runtime(100.0).deadline(400.0).build();
+  const Job b = JobBuilder(2).submit(100.0).set_runtime(50.0).deadline(400.0).build();
+  f.executor.start(a, {0});
+  (void)f.executor.node_state(0);
+  bool checked = false;
+  // Work-conserving: `a` runs at rate 1 and completes at exactly t=100;
+  // Completion-priority events run before Arrival ones at one instant.
+  f.simulator.at(100.0, sim::EventPriority::Arrival, [&] {
+    ASSERT_TRUE(f.completions.contains(1));
+    EXPECT_TRUE(f.executor.node_state(0).empty());
+    f.executor.check_invariants();
+    f.executor.start(b, {0});
+    const NodeStateView& s = f.executor.node_state(0);
+    ASSERT_EQ(s.count(), 1u);
+    EXPECT_EQ(s.jobs[0]->id, 2);
+    EXPECT_DOUBLE_EQ(s.remaining_raw[0], 50.0);
+    f.executor.check_invariants();
+    checked = true;
+  });
+  f.simulator.run();
+  EXPECT_TRUE(checked);
+  EXPECT_NEAR(f.completions[2], 150.0, 1e-9);
+}
+
+// Same as above through the kill path, restarting from the kill handler.
+TEST(TimeShared, SameInstantKillThenStartShowsNewResident) {
+  ShareModelConfig c;
+  c.kill_at_estimate = true;
+  Fixture f(1, c);
+  const Job a = JobBuilder(1).estimate(50.0).set_runtime(100.0).deadline(400.0).build();
+  const Job b = JobBuilder(2).submit(50.0).set_runtime(20.0).deadline(400.0).build();
+  bool checked = false;
+  f.executor.set_kill_handler([&](const Job& job, sim::SimTime when) {
+    ASSERT_EQ(job.id, 1);
+    EXPECT_DOUBLE_EQ(when, 50.0);
+    EXPECT_TRUE(f.executor.node_state(0).empty());
+    f.executor.check_invariants();
+    f.executor.start(b, {0});
+    const NodeStateView& s = f.executor.node_state(0);
+    ASSERT_EQ(s.count(), 1u);
+    EXPECT_EQ(s.jobs[0]->id, 2);
+    f.executor.check_invariants();
+    checked = true;
+  });
+  f.executor.start(a, {0});
+  (void)f.executor.node_state(0);
+  f.simulator.run();
+  EXPECT_TRUE(checked);
+  EXPECT_TRUE(f.completions.contains(2));
+}
+
+// Seeded random start / advance / overrun / kill sequences on a
+// heterogeneous 16-node cluster. Between operations (and inside every
+// completion, overrun and kill handler) random nodes are read with random
+// parts, so caches of every shape exist when check_invariants() verifies
+// that each view the cache would serve equals a from-scratch rebuild.
+void run_random_cache_sequence(ShareModelConfig config, std::uint64_t seed) {
+  constexpr int kNodes = 16;
+  std::vector<NodeSpec> specs;
+  for (int i = 0; i < kNodes; ++i)
+    specs.push_back({i, 84.0 * static_cast<double>(1 + i % 3)});
+  const Cluster cluster(std::move(specs), 168.0);
+  sim::Simulator simulator;
+  TimeSharedExecutor executor(simulator, cluster, config);
+  rng::Stream stream(seed);
+  std::uint64_t reads = 0;
+  auto read_and_check = [&] {
+    for (int k = 0; k < 6; ++k) {
+      const auto node = static_cast<NodeId>(stream.uniform_int(0, kNodes - 1));
+      const auto parts = static_cast<NodeStateParts>(stream.uniform_int(0, kStateAll));
+      (void)executor.node_state(node, parts);
+      ++reads;
+    }
+    executor.check_invariants();
+  };
+  std::size_t finished = 0;
+  executor.set_completion_handler([&](const Job&, sim::SimTime) {
+    ++finished;
+    read_and_check();
+  });
+  executor.set_kill_handler([&](const Job&, sim::SimTime) {
+    ++finished;
+    read_and_check();
+  });
+  executor.set_overrun_handler([&](const Job&, int) { read_and_check(); });
+
+  std::deque<Job> jobs;  // the executor keeps pointers: stable addresses
+  std::vector<NodeId> all(kNodes);
+  for (int i = 0; i < kNodes; ++i) all[static_cast<std::size_t>(i)] = i;
+  for (int op = 0; op < 300; ++op) {
+    if (stream.bernoulli(0.45)) {
+      rng::shuffle(all, stream);
+      const int procs = static_cast<int>(stream.uniform_int(1, 3));
+      const double runtime = stream.uniform(5.0, 200.0);
+      // A third under-estimate: they overrun (or are killed) mid-run.
+      const double estimate =
+          stream.bernoulli(1.0 / 3.0) ? runtime * stream.uniform(0.3, 0.9) : runtime;
+      jobs.push_back(JobBuilder(op + 1)
+                         .submit(simulator.now())
+                         .estimate(std::max(estimate, 1.0))
+                         .set_runtime(runtime)
+                         .deadline(runtime * stream.uniform(0.8, 4.0))
+                         .procs(procs)
+                         .build());
+      executor.start(jobs.back(),
+                     std::vector<NodeId>(all.begin(), all.begin() + procs));
+    } else {
+      const double t = simulator.now() + stream.uniform(0.0, 40.0);
+      simulator.at(t, sim::EventPriority::Control, [] {});
+      simulator.run_until(t);
+      // Mostly sync like the engine does; sometimes read unsynced.
+      if (stream.bernoulli(0.8)) executor.sync();
+    }
+    read_and_check();
+  }
+  simulator.run();
+  read_and_check();
+  EXPECT_EQ(finished, jobs.size());
+  EXPECT_LT(executor.kernel_stats().view_rebuilds, reads);
+}
+
+TEST(TimeShared, RandomizedViewCacheMatchesRebuild) {
+  ShareModelConfig kill;
+  kill.kill_at_estimate = true;
+  ShareModelConfig equal;
+  equal.mode = ExecutionMode::EqualShare;
+  const std::pair<const char*, ShareModelConfig> configs[] = {
+      {"overrun", ShareModelConfig{}},
+      {"kill", kill},
+      {"strict", strict_pacing()},
+      {"equal-share", equal}};
+  for (const auto& [name, config] : configs)
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(::testing::Message() << name << " seed " << seed);
+      run_random_cache_sequence(config, seed);
+    }
 }
 
 TEST(TimeShared, HeterogeneousNodeSpeedsScaleRates) {

@@ -90,7 +90,8 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out) {
   if (kern.settles > 0)
     out << "kernel: " << table::num(kern.recomputes_per_settle())
         << " recomputes/settle, " << table::num(kern.skip_pct(), 1)
-        << "% of resident tasks skipped\n";
+        << "% of resident tasks skipped, " << kern.view_rebuilds
+        << " node-view rebuilds\n";
 
   if (car_opt.value) {
     table::Table t({"measure", "CaR(95%)", "tail mean", "mean", "max"});
