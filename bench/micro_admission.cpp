@@ -59,21 +59,6 @@ void BM_RiskAssessNodeWorkspace(benchmark::State& state) {
 }
 BENCHMARK(BM_RiskAssessNodeWorkspace)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
 
-// The seed implementation (multi-pass, one heap-allocated vector per pass),
-// kept compiled as the differential-testing reference — and as the baseline
-// the workspace variant is measured against.
-void BM_RiskAssessNodeLegacy(benchmark::State& state) {
-  const auto inputs = make_inputs(static_cast<std::size_t>(state.range(0)), 7);
-  const core::RiskConfig config;
-  for (auto _ : state) {
-    const core::RiskAssessment a =
-        core::assess_node_legacy(inputs, config, 1.0, 0.3);
-    benchmark::DoNotOptimize(a.sigma);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * inputs.size()));
-}
-BENCHMARK(BM_RiskAssessNodeLegacy)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
-
 void BM_RiskAssessNodeProcessorSharing(benchmark::State& state) {
   const auto inputs = make_inputs(static_cast<std::size_t>(state.range(0)), 7);
   core::RiskConfig config;

@@ -1,12 +1,12 @@
-// Microbenchmark M4: whole-trace admission throughput, fast path vs the
-// preserved seed path (PolicyOptions::legacy_admission), as the cluster
+// Microbenchmark M4: whole-trace admission throughput as the cluster
 // grows. Admission is O(nodes) per submission, so this is where the
 // workspace + NodeStateView cache + selection early-exit pay off — the
-// paper's 128-node cluster is the small end.
+// paper's 128-node cluster is the small end. The seed path these rows were
+// once compared against is frozen history (EXPERIMENTS.md).
 //
 // One iteration = a full SDSC SP2 simulation (workload generation
-// included); counters come from AdmissionStats so the two variants can be
-// confirmed to do identical decision work.
+// included); the accepted and nodes_scanned counters come from
+// AdmissionStats.
 #include <benchmark/benchmark.h>
 
 #include "exp/scenario.hpp"
@@ -15,12 +15,11 @@ namespace {
 
 using namespace librisk;
 
-void run_admission(benchmark::State& state, core::Policy policy, bool legacy) {
+void run_admission(benchmark::State& state, core::Policy policy) {
   exp::Scenario scenario;
   scenario.workload.trace.job_count = 3000;
   scenario.nodes = static_cast<int>(state.range(0));
   scenario.policy = policy;
-  scenario.options.legacy_admission = legacy;
   std::uint64_t seed = 1;
   std::uint64_t accepted = 0;
   std::uint64_t nodes_scanned = 0;
@@ -42,25 +41,15 @@ void run_admission(benchmark::State& state, core::Policy policy, bool legacy) {
 }
 
 void BM_AdmissionEndToEnd_LibraRisk(benchmark::State& state) {
-  run_admission(state, core::Policy::LibraRisk, false);
-}
-void BM_AdmissionEndToEnd_LibraRiskLegacy(benchmark::State& state) {
-  run_admission(state, core::Policy::LibraRisk, true);
+  run_admission(state, core::Policy::LibraRisk);
 }
 void BM_AdmissionEndToEnd_Libra(benchmark::State& state) {
-  run_admission(state, core::Policy::Libra, false);
-}
-void BM_AdmissionEndToEnd_LibraLegacy(benchmark::State& state) {
-  run_admission(state, core::Policy::Libra, true);
+  run_admission(state, core::Policy::Libra);
 }
 
 BENCHMARK(BM_AdmissionEndToEnd_LibraRisk)
     ->Arg(128)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AdmissionEndToEnd_LibraRiskLegacy)
-    ->Arg(128)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AdmissionEndToEnd_Libra)
-    ->Arg(128)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AdmissionEndToEnd_LibraLegacy)
     ->Arg(128)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,13 +1,10 @@
-// Microbenchmark M5: execution-kernel throughput, incremental dirty-set
-// kernel vs the retained whole-resident-set recompute
-// (ShareModelConfig::legacy_kernel). Both kernels make bit-identical
-// decisions (tests/test_kernel_equivalence.cpp); this measures the work
-// they spend making them.
+// Microbenchmark M5: execution-kernel throughput of the incremental
+// dirty-set settle. The whole-resident-set recompute it replaced is gone;
+// its numbers are frozen history in EXPERIMENTS.md.
 //
 //   - Residents scaling: R singleton-resident jobs draining one completion
-//     at a time. The legacy kernel recomputes all R tasks per settle
-//     (O(R^2) drain); the incremental kernel touches only the completing
-//     node's residents (O(R log R) drain).
+//     at a time. The kernel touches only the completing node's residents
+//     (O(R log R) drain; a whole-resident recompute would be O(R^2)).
 //   - Whole trace: full SDSC SP2 simulations as the cluster grows, the
 //     headline end-to-end number (one iteration = one simulation,
 //     workload generation included).
@@ -62,12 +59,11 @@ std::vector<workload::Job> singleton_jobs(int residents) {
   return jobs;
 }
 
-void run_residents(benchmark::State& state, bool legacy) {
+void run_residents(benchmark::State& state) {
   const int residents = static_cast<int>(state.range(0));
   const std::vector<workload::Job> jobs = singleton_jobs(residents);
   cluster::ShareModelConfig config;
   config.work_conserving = true;
-  config.legacy_kernel = legacy;
   const auto cl = cluster::Cluster::homogeneous(residents, 1.0);
   std::uint64_t recomputed = 0;
   std::uint64_t settles = 0;
@@ -91,15 +87,8 @@ void run_residents(benchmark::State& state, bool legacy) {
                   : 0.0);
 }
 
-void BM_KernelResidentsScaling(benchmark::State& state) {
-  run_residents(state, /*legacy=*/false);
-}
-void BM_KernelResidentsScalingLegacy(benchmark::State& state) {
-  run_residents(state, /*legacy=*/true);
-}
+void BM_KernelResidentsScaling(benchmark::State& state) { run_residents(state); }
 BENCHMARK(BM_KernelResidentsScaling)
-    ->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_KernelResidentsScalingLegacy)
     ->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 /// Steady-state allocation audit: after the first half of the drain has
@@ -139,13 +128,11 @@ void BM_KernelSteadyStateAllocPerSettle(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelSteadyStateAllocPerSettle)->Arg(64)->Arg(512);
 
-void run_whole_trace(benchmark::State& state, core::Policy policy,
-                     bool legacy) {
+void run_whole_trace(benchmark::State& state, core::Policy policy) {
   exp::Scenario scenario;
   scenario.workload.trace.job_count = 3000;
   scenario.nodes = static_cast<int>(state.range(0));
   scenario.policy = policy;
-  scenario.options.share_model.legacy_kernel = legacy;
   std::uint64_t seed = 1;
   std::uint64_t settles = 0;
   std::uint64_t recomputed = 0;
@@ -171,24 +158,14 @@ void run_whole_trace(benchmark::State& state, core::Policy policy,
 }
 
 void BM_KernelWholeTrace_LibraRisk(benchmark::State& state) {
-  run_whole_trace(state, core::Policy::LibraRisk, /*legacy=*/false);
-}
-void BM_KernelWholeTrace_LibraRiskLegacy(benchmark::State& state) {
-  run_whole_trace(state, core::Policy::LibraRisk, /*legacy=*/true);
+  run_whole_trace(state, core::Policy::LibraRisk);
 }
 void BM_KernelWholeTrace_Libra(benchmark::State& state) {
-  run_whole_trace(state, core::Policy::Libra, /*legacy=*/false);
-}
-void BM_KernelWholeTrace_LibraLegacy(benchmark::State& state) {
-  run_whole_trace(state, core::Policy::Libra, /*legacy=*/true);
+  run_whole_trace(state, core::Policy::Libra);
 }
 BENCHMARK(BM_KernelWholeTrace_LibraRisk)
     ->Arg(128)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_KernelWholeTrace_LibraRiskLegacy)
-    ->Arg(128)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_KernelWholeTrace_Libra)
-    ->Arg(128)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_KernelWholeTrace_LibraLegacy)
     ->Arg(128)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 }  // namespace

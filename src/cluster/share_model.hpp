@@ -50,13 +50,6 @@ struct ShareModelConfig {
   /// (strict pacing: every job finishes right at its deadline, and any
   /// overrun is fatal). EqualShare mode is inherently work-conserving.
   bool work_conserving = true;
-  /// Differential-testing switch: route every settle through the retained
-  /// whole-resident-set recompute (settle_and_reschedule_legacy) instead of
-  /// the incremental dirty-set kernel. Decisions are bit-identical either
-  /// way (tests/test_kernel_equivalence.cpp holds the two to byte-identical
-  /// .lrt traces); the legacy path exists as that test's oracle and as the
-  /// baseline leg of bench/micro_kernel.
-  bool legacy_kernel = false;
 
   void validate() const;
 };

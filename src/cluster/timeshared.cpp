@@ -469,14 +469,6 @@ void TimeSharedExecutor::attach(const Hooks& hooks) {
 
 void TimeSharedExecutor::settle_and_reschedule() {
   obs::ScopedPhase phase(profiler_, obs::Phase::Settle);
-  if (config_.legacy_kernel) {
-    settle_and_reschedule_legacy();
-  } else {
-    settle_and_reschedule_incremental();
-  }
-}
-
-void TimeSharedExecutor::settle_and_reschedule_incremental() {
   const sim::SimTime now = sim_.now();
   LIBRISK_CHECK(now - last_settle_ >= -sim::kTimeEpsilon,
                 "executor clock ran backwards");
@@ -493,8 +485,8 @@ void TimeSharedExecutor::settle_and_reschedule_incremental() {
   for (const NodeId n : start_touched_) touch_node(n);
   start_touched_.clear();
 
-  // Phase 1: pop due boundaries off the heap and classify them. Processing
-  // order is ascending job id, matching the legacy full scan.
+  // Phase 1: pop due boundaries off the heap and classify them in
+  // ascending job id order, whatever order the heap yields them in.
   while (!bheap_.empty() && bheap_.front()->boundary <= now) {
     Task* const t = bheap_.front();
     bheap_remove(t);
@@ -583,7 +575,7 @@ void TimeSharedExecutor::settle_and_reschedule_incremental() {
 
   // Fresh demand sums for every node a dirty task touches (other entries of
   // node_demand_ are stale, but only these are read below). Per-node
-  // accumulation order is resident start order, same as the legacy kernel.
+  // accumulation order is resident start order (docs/MODEL.md §3.1).
   demand_nodes_.clear();
   for (const Task* const t : dirty_)
     for (const NodeId n : t->nodes) {
@@ -650,120 +642,6 @@ void TimeSharedExecutor::settle_and_reschedule_incremental() {
 
   // Trace: one ShareRealloc per settle that actually moved observable state
   // (membership, work, or a just-started job), not per sync() no-op.
-  if (trace_ != nullptr && (changed || pending_start_realloc_) && !tasks_.empty())
-    trace_->share_realloc(now, static_cast<int>(tasks_.size()));
-  pending_start_realloc_ = false;
-
-  notify_and_reclaim(completed, killed, overruns, now);
-}
-
-void TimeSharedExecutor::settle_and_reschedule_legacy() {
-  const sim::SimTime now = sim_.now();
-  LIBRISK_CHECK(now - last_settle_ >= -sim::kTimeEpsilon,
-                "executor clock ran backwards");
-  const bool time_advanced = now > last_settle_ && !tasks_.empty();
-  last_settle_ = now;
-  ++stats_.settles;
-  ++stats_.global_recomputes;
-  start_touched_.clear();  // a global recompute needs no touch tracking
-
-  auto completed = std::move(completed_buf_);
-  auto killed = std::move(killed_buf_);
-  auto overruns = std::move(overrun_buf_);
-  completed.clear();
-  killed.clear();
-  overruns.clear();
-
-  // Phase 1: classify due boundaries by full scan (ascending job id, the
-  // same processing order the incremental kernel sorts its due set into).
-  for (auto it = tasks_.begin(); it != tasks_.end();) {
-    Task& t = it->second;
-    if (t.boundary <= now) {
-      reanchor(t, now);
-      if (!t.boundary_is_expiry) {
-        completed.push_back(t.job);
-        remove_task_from_nodes(t);
-        it = tasks_.erase(it);
-        continue;
-      }
-      if (config_.kill_at_estimate) {
-        LIBRISK_CHECK(on_kill_ != nullptr,
-                      "kill_at_estimate requires a kill handler");
-        killed.push_back(Killed{t.job, t.anchor_work});
-        remove_task_from_nodes(t);
-        it = tasks_.erase(it);
-        continue;
-      }
-      t.est_current += config_.overrun_bump_fraction * t.job->scheduler_estimate;
-      ++t.bumps;
-      t.bump_pending = true;
-      overruns.push_back(Overrun{t.job, t.bumps, t.est_current});
-      LIBRISK_LOG(Debug) << "job " << t.job->id << " overran estimate (bump "
-                         << t.bumps << ") at t=" << now;
-    }
-    ++it;
-  }
-
-  const bool changed = time_advanced || !completed.empty() || !killed.empty() ||
-                       !overruns.empty();
-  if (changed) ++epoch_;
-
-  // Phase 2: recompute every demand and rate. Node-major accumulation in
-  // resident start order — the same per-node summation order the
-  // incremental kernel uses, so the two kernels agree bitwise.
-  stats_.tasks_recomputed += tasks_.size();
-  for (NodeId n = 0; n < cluster_.size(); ++n) {
-    const double speed = cluster_.speed_factor(n);
-    double sum = 0.0;
-    for (const Task* const t : node_tasks_[static_cast<std::size_t>(n)])
-      sum += std::min(1.0, demand_of(*t, now) / speed);
-    node_demand_[static_cast<std::size_t>(n)] = sum;
-  }
-  const bool work_conserving =
-      config_.work_conserving || config_.mode == ExecutionMode::EqualShare;
-  sim::SimTime next_boundary = sim::kTimeInfinity;
-  for (auto& [id, t] : tasks_) {
-    const double d = demand_of(t, now);
-    double rate = sim::kTimeInfinity;
-    for (const NodeId n : t.nodes) {
-      const double speed = cluster_.speed_factor(n);
-      const double demand_here = std::min(1.0, d / speed);
-      const double alloc =
-          allocate_one(demand_here,
-                       node_demand_[static_cast<std::size_t>(n)] - demand_here,
-                       work_conserving);
-      rate = std::min(rate, alloc * speed);
-    }
-    LIBRISK_CHECK(rate > 0.0 && rate < sim::kTimeInfinity,
-                  "job " << id << " has no execution rate");
-    if (rate != t.rate) {
-      reanchor(t, now);
-      t.rate = rate;
-      refresh_boundary(t);
-    } else if (t.bump_pending) {
-      refresh_boundary(t);
-    }
-    t.bump_pending = false;
-    next_boundary = std::min(next_boundary, t.boundary);
-  }
-
-  // Phase 3: cancel and reschedule the boundary event unconditionally (the
-  // pre-incremental behavior; sequence numbers differ from the incremental
-  // kernel but are unobservable — there is never more than one
-  // Completion-priority event pending).
-  if (pending_boundary_.valid()) {
-    sim_.cancel(pending_boundary_);
-    pending_boundary_ = sim::EventId{};
-  }
-  if (next_boundary < sim::kTimeInfinity) {
-    pending_boundary_ = sim_.at(next_boundary, sim::EventPriority::Completion,
-                                [this] {
-                                  pending_boundary_ = sim::EventId{};
-                                  settle_and_reschedule();
-                                });
-    pending_boundary_time_ = next_boundary;
-  }
-
   if (trace_ != nullptr && (changed || pending_start_realloc_) && !tasks_.empty())
     trace_->share_realloc(now, static_cast<int>(tasks_.size()));
   pending_start_realloc_ = false;
@@ -864,8 +742,6 @@ void TimeSharedExecutor::check_invariants() const {
     }
     if (task.heap_pos >= 0) {
       ++queued;
-      LIBRISK_CHECK(!config_.legacy_kernel,
-                    "legacy kernel must not use the boundary heap");
       LIBRISK_CHECK(static_cast<std::size_t>(task.heap_pos) < bheap_.size() &&
                         bheap_[static_cast<std::size_t>(task.heap_pos)] == &task,
                     "boundary-heap position stale for job " << id);
@@ -873,7 +749,7 @@ void TimeSharedExecutor::check_invariants() const {
       // Between settles every running task is queued (only mid-settle due
       // processing pops them); a rate of 0 means the task was started but
       // never settled, which cannot be observed from outside.
-      LIBRISK_CHECK(config_.legacy_kernel || task.rate == 0.0,
+      LIBRISK_CHECK(task.rate == 0.0,
                     "running job " << id << " missing from the boundary heap");
     }
   }

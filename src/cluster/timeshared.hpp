@@ -26,10 +26,8 @@
 // next-boundary event reschedules only when the minimum actually moves.
 // Only the dirty set — residents of nodes whose membership or contention
 // changed — gets its demand and rate recomputed; everyone else is skipped
-// (KernelStats counts both). settle_and_reschedule_legacy() retains the
-// whole-resident-set recompute on the same anchored arithmetic as a
-// differential oracle (ShareModelConfig::legacy_kernel); the two produce
-// bit-identical decision traces.
+// (KernelStats counts both). Strict (non-work-conserving) pacing is the one
+// regime where time advance dirties every task; it recomputes them all.
 #pragma once
 
 #include <cstdint>
@@ -125,8 +123,7 @@ struct NodeStateView {
 
 /// Execution-kernel effort counters, AdmissionStats-style: cumulative over
 /// the executor's lifetime, cheap enough to keep always-on. The skip ratio
-/// (tasks_skipped vs tasks_recomputed) is the incremental kernel's win; the
-/// legacy kernel reports every settle as a global recompute with no skips.
+/// (tasks_skipped vs tasks_recomputed) is the incremental kernel's win.
 struct KernelStats {
   std::uint64_t settles = 0;           ///< settle passes (events + syncs)
   std::uint64_t global_recomputes = 0; ///< settles that recomputed every task
@@ -281,11 +278,9 @@ class TimeSharedExecutor {
   };
 
   void settle_and_reschedule();
-  void settle_and_reschedule_incremental();
-  void settle_and_reschedule_legacy();
 
   /// Canonical lazy-work read; every consumer goes through this one
-  /// expression so both kernels share bit-identical arithmetic.
+  /// expression so a deferred read is bitwise an eager one.
   [[nodiscard]] double work_at(const Task& task, sim::SimTime now) const noexcept {
     return task.anchor_work + task.rate * (now - task.anchor_time);
   }
@@ -294,8 +289,7 @@ class TimeSharedExecutor {
   /// `now`; the anchor update matches work_at(now) bitwise.
   void reanchor(Task& task, sim::SimTime now);
   /// Recomputes boundary/boundary_is_expiry from the anchor (rate must be
-  /// set). Ties resolve to completion, like the legacy classification
-  /// order.
+  /// set). Ties resolve to completion.
   void refresh_boundary(Task& task);
   [[nodiscard]] double demand_of(const Task& task, sim::SimTime now) const;
   void remove_task_from_nodes(Task& task);
@@ -303,7 +297,7 @@ class TimeSharedExecutor {
                           std::vector<Killed>& killed,
                           std::vector<Overrun>& overruns, sim::SimTime now);
 
-  // Dirty-set bookkeeping (incremental kernel).
+  // Dirty-set bookkeeping.
   void touch_node(NodeId node);
   void mark_dirty(Task* task);
   void multi_add(NodeId node);
@@ -376,7 +370,7 @@ class TimeSharedExecutor {
 
   mutable KernelStats stats_;  ///< mutable: node_state() counts view rebuilds
   std::uint64_t settle_serial_ = 0;
-  std::vector<Task*> bheap_;            ///< boundary min-heap (incremental)
+  std::vector<Task*> bheap_;            ///< boundary min-heap
   /// Nodes with >= 2 residents (the only ones where work-conserving pacing
   /// rates drift with time), with a per-node position index for O(1)
   /// membership updates.

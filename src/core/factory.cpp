@@ -115,7 +115,6 @@ LibraConfig libra_family_config(Policy policy, const PolicyOptions& options) {
   config.risk.sigma_threshold = options.risk.sigma_threshold;
   config.risk.rule = options.risk.rule;
   if (options.selection_override) config.selection = *options.selection_override;
-  config.legacy_path = options.legacy_admission;
   config.overload = options.overload;
   return config;
 }

@@ -53,10 +53,6 @@ struct PolicyOptions {
   /// and EDF; the FCFS/EASY/QoPS family has no shortfall site to bend and
   /// treats every mode as HardReject (docs/OVERLOAD.md, support matrix).
   OverloadConfig overload;
-  /// Libra-family only: route admission through the seed (allocating)
-  /// implementation instead of the workspace/cached fast path. Decisions
-  /// are bit-identical either way; differential tests flip this.
-  bool legacy_admission = false;
   /// Optional observation hooks (decision-audit recorder + live telemetry),
   /// attached as one value to both the scheduler and its executor — the
   /// single wiring point, so a stack can never end up with a recorder on

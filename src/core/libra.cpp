@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "support/check.hpp"
 #include "support/log.hpp"
@@ -91,20 +90,14 @@ double LibraScheduler::new_job_share(const Job& job, cluster::NodeId node) const
                                  executor_.cluster().speed_factor(node));
 }
 
-bool LibraScheduler::node_suitable(cluster::NodeId node, const Job& job,
-                                   double& fit) const {
-  if (config_.legacy_path) return node_suitable_legacy(node, job, fit);
-  return node_suitable_fast(node, job, fit);
-}
-
 trace::RejectionReason LibraScheduler::scan_reason() const noexcept {
   return config_.admission == LibraConfig::Admission::TotalShare
              ? trace::RejectionReason::ShareOverflow
              : trace::RejectionReason::RiskSigma;
 }
 
-bool LibraScheduler::node_suitable_fast(cluster::NodeId node, const Job& job,
-                                        double& fit, double* sigma_out) const {
+bool LibraScheduler::node_suitable(cluster::NodeId node, const Job& job,
+                                   double& fit, double* sigma_out) const {
   switch (config_.admission) {
     case LibraConfig::Admission::TotalShare: {
       const cluster::NodeStateView& state =
@@ -162,9 +155,8 @@ bool LibraScheduler::node_suitable_fast(cluster::NodeId node, const Job& job,
 }
 
 void LibraScheduler::select_prefix(int count) {
-  // The legacy path stable_sorts candidates built in ascending node order,
-  // so its result order is exactly (fit key, node id) — a strict total
-  // order we can hand to the unstable partial-selection algorithms.
+  // (fit, node id) is a strict total order, so the unstable partial
+  // selection below is deterministic: equal fits go to the lower node id.
   const auto best = [](const Candidate& a, const Candidate& b) {
     return a.fit != b.fit ? a.fit > b.fit : a.node < b.node;
   };
@@ -351,14 +343,10 @@ void LibraScheduler::on_job_submitted(const Job& job) {
   // The recorder arrives via attach() after construction, so the governor
   // borrows it lazily (cheap pointer store, degraded modes only).
   if (overload_enabled_) governor_.attach(trace_);
-  if (config_.legacy_path) {
-    submit_legacy(job);
-    return;
-  }
-  submit_fast(job);
+  submit(job);
 }
 
-void LibraScheduler::submit_fast(const Job& job) {
+void LibraScheduler::submit(const Job& job) {
   const sim::SimTime now = sim_.now();
   ++stats_.submissions;
   const bool explaining = explain_ != nullptr;
@@ -404,7 +392,7 @@ void LibraScheduler::submit_fast(const Job& job) {
       // sigma is a by-product of the assessment either way; capturing it
       // unconditionally costs one store and feeds both the trace event and
       // the admission outcome (Scheduler::Decision).
-      const bool ok = node_suitable_fast(n, job, fit, &sigma);
+      const bool ok = node_suitable(n, job, fit, &sigma);
       scan_metric_[static_cast<std::size_t>(n)] = fit;
       if (tracing || explaining) {
         const double margin = config_.capacity - fit;  // Eq. 2 headroom
@@ -495,7 +483,7 @@ void LibraScheduler::scan_zero_risk_batched(const Job& job, sim::SimTime now,
   const int cluster_size = executor_.cluster().size();
   const bool raw =
       config_.estimate_kind == cluster::TimeSharedExecutor::EstimateKind::Raw;
-  // The empty-node fast path's exact legacy condition, hoisted: under it an
+  // node_suitable's empty-node fast-path condition, hoisted: under it an
   // empty node's verdict counts as a skip, not an assessment.
   const bool empty_fast =
       config_.risk.rule == RiskConfig::Rule::SigmaOnly &&
@@ -582,171 +570,6 @@ void LibraScheduler::scan_zero_risk_batched(const Job& job, sim::SimTime now,
   }
 }
 
-// ---- seed implementation (differential-testing reference) ----
-
-RiskAssessment LibraScheduler::assess_with_job_legacy(cluster::NodeId node,
-                                                      const Job& job) const {
-  const sim::SimTime now = sim_.now();
-  std::vector<RiskJobInput> inputs;
-  const auto& resident = executor_.node_jobs(node);
-  inputs.reserve(resident.size() + 1);
-  const bool raw =
-      config_.estimate_kind == cluster::TimeSharedExecutor::EstimateKind::Raw;
-  for (const cluster::JobId id : resident) {
-    const cluster::TaskView v = executor_.view(id);
-    inputs.push_back(RiskJobInput{
-        raw ? v.remaining_estimate_raw() : v.remaining_estimate_current(),
-        v.remaining_deadline(now), v.rate});
-  }
-  // Algorithm 1, line 2: add the new job temporarily.
-  inputs.push_back(RiskJobInput{job.scheduler_estimate, job.deadline,
-                                RiskJobInput::kNewJob});
-  return assess_node_legacy(inputs, config_.risk,
-                            executor_.cluster().speed_factor(node),
-                            executor_.node_available_capacity(node));
-}
-
-bool LibraScheduler::node_suitable_legacy(cluster::NodeId node, const Job& job,
-                                          double& fit, double* sigma_out) const {
-  switch (config_.admission) {
-    case LibraConfig::Admission::TotalShare: {
-      const double total =
-          executor_.node_total_share(node, config_.estimate_kind) +
-          new_job_share(job, node);
-      fit = total;
-      if (sigma_out != nullptr) *sigma_out = -1.0;  // no sigma in Eq. 2
-      return total <= config_.capacity + config_.tolerance;
-    }
-    case LibraConfig::Admission::ZeroRisk: {
-      const RiskAssessment assessment = assess_with_job_legacy(node, job);
-      fit = assessment.total_share;
-      if (sigma_out != nullptr) *sigma_out = assessment.sigma;
-      return assessment.zero_risk(config_.risk);
-    }
-  }
-  return false;
-}
-
-void LibraScheduler::submit_legacy(const Job& job) {
-  const sim::SimTime now = sim_.now();
-  ++stats_.submissions;
-  const bool explaining = explain_ != nullptr;
-  if (explaining)
-    explain_->begin(now, job.id, job.num_procs, job.deadline,
-                    job.scheduler_estimate);
-  if (job.num_procs > executor_.cluster().size()) {
-    ++stats_.rejections;
-    ++stats_.rejected_no_suitable_node;
-    collector_.record_rejected(job, now, /*at_dispatch=*/false,
-                               trace::RejectionReason::NoSuitableNode);
-    if (trace_ != nullptr)
-      trace_->job_rejected(now, job.id, trace::RejectionReason::NoSuitableNode,
-                           0, job.num_procs);
-    if (explaining)
-      explain_->finish_reject(trace::RejectionReason::NoSuitableNode, 0, 0.0);
-    return;
-  }
-  // Overload consults mirror submit_fast exactly (the degraded helpers
-  // themselves always run the fast arithmetic — bit-identical decisions per
-  // tests/test_admission_equivalence, so the paths cannot diverge here).
-  if (overload_enabled_ && shed_or_pulse(job, now)) return;
-  executor_.sync();
-
-  const bool tracing = trace_ != nullptr && trace_->enabled();
-  std::vector<Candidate> suitable;
-  suitable.reserve(executor_.cluster().size());
-  // Decisive metric per node for the reject-path deficit rebuild. Legacy
-  // never bound-skips, so the sigma itself is always the right record.
-  const bool share_mode = config_.admission == LibraConfig::Admission::TotalShare;
-  scan_metric_.resize(static_cast<std::size_t>(executor_.cluster().size()));
-  const std::uint64_t scanned_before = stats_.nodes_scanned;
-  for (cluster::NodeId n = 0; n < executor_.cluster().size(); ++n) {
-    ++stats_.nodes_scanned;
-    double fit = 0.0;
-    double sigma = -1.0;
-    const bool ok = node_suitable_legacy(n, job, fit, &sigma);
-    scan_metric_[static_cast<std::size_t>(n)] = share_mode ? fit : sigma;
-    if (tracing || explaining) {
-      const double margin = node_margin(fit, sigma);
-      if (tracing)
-        trace_->node_evaluated(
-            now, job.id, n,
-            ok ? trace::RejectionReason::None : scan_reason(), sigma, fit,
-            margin);
-      if (explaining)
-        explain_->node(obs::NodeMargin{
-            n, ok, ok ? trace::RejectionReason::None : scan_reason(), sigma,
-            fit, margin});
-    }
-    if (ok) suitable.push_back(Candidate{n, fit, sigma});
-  }
-  if (scan_nodes_hist_ != nullptr)
-    scan_nodes_hist_->record(
-        static_cast<double>(stats_.nodes_scanned - scanned_before));
-
-  if (static_cast<int>(suitable.size()) < job.num_procs) {
-    if (overload_enabled_ && try_degraded(job, now)) return;
-    ++stats_.rejections;
-    if (config_.admission == LibraConfig::Admission::TotalShare)
-      ++stats_.rejected_share_overflow;
-    else
-      ++stats_.rejected_risk_sigma;
-    const double margin =
-        reject_job_margin(job, static_cast<int>(suitable.size()));
-    collector_.record_rejected(job, now, /*at_dispatch=*/false, scan_reason());
-    if (trace_ != nullptr)
-      trace_->job_rejected(now, job.id, scan_reason(),
-                           static_cast<int>(suitable.size()), job.num_procs,
-                           margin);
-    if (explaining)
-      explain_->finish_reject(scan_reason(), static_cast<int>(suitable.size()),
-                              margin);
-    LIBRISK_LOG(Debug) << name_ << ": rejected job " << job.id << " ("
-                       << suitable.size() << '/' << job.num_procs
-                       << " suitable nodes)";
-    return;
-  }
-
-  switch (config_.selection) {
-    case LibraConfig::Selection::FirstFit:
-      break;  // already in node order
-    case LibraConfig::Selection::BestFit:
-      // Fullest after acceptance first; node id breaks ties for determinism.
-      std::stable_sort(suitable.begin(), suitable.end(),
-                       [](const Candidate& a, const Candidate& b) {
-                         return a.fit > b.fit;
-                       });
-      break;
-    case LibraConfig::Selection::WorstFit:
-      std::stable_sort(suitable.begin(), suitable.end(),
-                       [](const Candidate& a, const Candidate& b) {
-                         return a.fit < b.fit;
-                       });
-      break;
-  }
-
-  std::vector<cluster::NodeId> chosen;
-  chosen.reserve(job.num_procs);
-  double slowest = sim::kTimeInfinity;
-  for (int i = 0; i < job.num_procs; ++i) {
-    chosen.push_back(suitable[i].node);
-    slowest = std::min(slowest, executor_.cluster().speed_factor(suitable[i].node));
-  }
-  ++stats_.accepted;
-  const double margin = node_margin(suitable[0].fit, suitable[0].sigma);
-  note_decision(job.id, suitable[0].node, suitable[0].sigma, margin);
-  if (trace_ != nullptr)
-    trace_->job_admitted(now, job.id, suitable[0].node,
-                         static_cast<int>(suitable.size()), suitable[0].fit,
-                         margin);
-  if (explaining)
-    explain_->finish_accept(suitable[0].node, margin,
-                            static_cast<int>(suitable.size()));
-  if (overload_enabled_) track_inflight(job, chosen);
-  collector_.record_started(job, now, job.actual_runtime / slowest);
-  executor_.start(job, std::move(chosen));
-}
-
 // ---- overload-catalog consult sites (core/overload.hpp) ----
 //
 // Nothing below is reachable under HardReject (overload_enabled_ guards
@@ -820,7 +643,7 @@ bool LibraScheduler::rescan_and_admit(const Job& job, sim::SimTime now,
                                       trace::RejectionReason bent) {
   // Probe with the (possibly) rewritten deadline; the sigma threshold is
   // bent by a save/restore on the live config so the re-scan runs the exact
-  // production arithmetic (node_suitable_fast) instead of a parallel
+  // production arithmetic (node_suitable) instead of a parallel
   // implementation that could drift.
   Job probe = job;
   probe.deadline = deadline;
@@ -835,7 +658,7 @@ bool LibraScheduler::rescan_and_admit(const Job& job, sim::SimTime now,
     ++stats_.nodes_scanned;
     double fit = 0.0;
     double sigma = -1.0;
-    bool ok = node_suitable_fast(n, probe, fit, &sigma);
+    bool ok = node_suitable(n, probe, fit, &sigma);
     // kForbidAdmitPastEq2: whatever the bend, no candidate may be admitted
     // past the Eq. 2 total-share capacity. The sigma-only rule does not
     // test this bound itself, so the catalog guard enforces it here.
@@ -933,7 +756,7 @@ void LibraScheduler::retry_deferred(std::int64_t job_id) {
     ++stats_.nodes_scanned;
     double fit = 0.0;
     double sigma = -1.0;
-    const bool ok = node_suitable_fast(n, job, fit, &sigma);
+    const bool ok = node_suitable(n, job, fit, &sigma);
     scan_metric_[static_cast<std::size_t>(n)] = share_mode ? fit : sigma;
     if (ok) suitable_.push_back(Candidate{n, fit, sigma});
   }

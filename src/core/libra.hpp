@@ -49,18 +49,10 @@ struct LibraConfig {
   RiskConfig risk;
   /// Numeric tolerance on the capacity test.
   double tolerance = 1e-9;
-  /// Differential-testing escape hatch: route submissions through the seed
-  /// implementation (full node scan, allocating risk assessment, full
-  /// stable_sort selection) instead of the workspace/cached fast path. The
-  /// two paths make bit-identical decisions — tests/test_admission_equivalence
-  /// asserts it — so this exists only to keep that claim checkable.
-  bool legacy_path = false;
   /// Graceful-degradation catalog entry (core/overload.hpp). HardReject —
   /// the default — reproduces the paper's behavior exactly; other modes
-  /// bend the shortfall path while the load threshold is exceeded. Both
-  /// submit paths consult the same helpers, and degraded re-scans always
-  /// use the fast arithmetic (bit-identical to legacy per
-  /// tests/test_admission_equivalence).
+  /// bend the shortfall path while the load threshold is exceeded.
+  /// Degraded re-scans run the normal scan's node_suitable arithmetic.
   OverloadConfig overload;
 
   /// The paper's Libra: total-share admission, best-fit, raw estimates.
@@ -149,11 +141,15 @@ class LibraScheduler final : public Scheduler {
   void on_job_submitted(const Job& job) override;
   [[nodiscard]] std::string_view name() const noexcept override { return name_; }
 
-  /// Decision introspection for tests: evaluates a node's suitability for a
-  /// job right now without side effects. Returns the fit key used for
-  /// selection via `fit` (total share after acceptance).
+  /// Evaluates a node's suitability for a job right now: the per-node test
+  /// of the admission scan, also exposed for decision introspection. It
+  /// changes no decision state; only the effort counters tick. Returns the
+  /// fit key used for selection via `fit` (total share after acceptance).
+  /// `sigma_out`, when non-null, receives the sigma the decision saw (-1
+  /// for the TotalShare test, which has no sigma).
   [[nodiscard]] bool node_suitable(cluster::NodeId node, const Job& job,
-                                   double& fit) const;
+                                   double& fit,
+                                   double* sigma_out = nullptr) const;
 
   [[nodiscard]] const LibraConfig& config() const noexcept { return config_; }
   /// Hot-path counters since construction (see AdmissionStats).
@@ -178,14 +174,6 @@ class LibraScheduler final : public Scheduler {
   /// The reason a failed per-node scan (or a shortfall rejection) carries:
   /// the admission test that said no.
   [[nodiscard]] trace::RejectionReason scan_reason() const noexcept;
-  /// Workspace-based suitability (the hot path; no allocation steady-state).
-  /// `sigma_out`, when non-null, receives the sigma the decision saw
-  /// (-1 for the TotalShare test, which has no sigma). The submit paths
-  /// always pass it — sigma is a free by-product of the assessment and
-  /// feeds both the node-evaluated trace event and the admission outcome.
-  [[nodiscard]] bool node_suitable_fast(cluster::NodeId node, const Job& job,
-                                        double& fit,
-                                        double* sigma_out = nullptr) const;
   /// Signed headroom of the decisive admission test for a scanned node
   /// (obs::NodeMargin convention): TotalShare: capacity - fit;
   /// ZeroRisk: sigma_threshold - sigma.
@@ -194,17 +182,22 @@ class LibraScheduler final : public Scheduler {
                ? config_.capacity - fit
                : config_.risk.sigma_threshold - sigma;
   }
-  /// Shortfall-rejection bookkeeping shared by both submit paths: rebuilds
-  /// the failing-node deficits from scan_metric_, takes the k-th smallest
-  /// (k = num_procs - suitable_count — the smallest improvement that would
-  /// have admitted), feeds the near-miss counters, and returns the job
-  /// margin (-deficit; 0.0 when unquantifiable). Reject path only, so the
-  /// scan loops stay store-only.
+  /// Shortfall-rejection bookkeeping shared by the submission and salvage
+  /// retry paths: rebuilds the failing-node deficits from scan_metric_,
+  /// takes the k-th smallest (k = num_procs - suitable_count — the smallest
+  /// improvement that would have admitted), feeds the near-miss counters,
+  /// and returns the job margin (-deficit; 0.0 when unquantifiable). Reject
+  /// path only, so the scan loops stay store-only.
   [[nodiscard]] double reject_job_margin(const Job& job, int suitable_count);
-  /// Orders the first `count` candidates of suitable_ exactly as the legacy
-  /// full stable_sort would, without touching the rest.
+  /// Moves the `count` best candidates of suitable_ to its front in
+  /// (fit, node id) order — fullest first for BestFit, emptiest first for
+  /// WorstFit, ties to the lower node id — leaving the rest unordered.
+  /// FirstFit keeps the scan's node order.
   void select_prefix(int count);
-  void submit_fast(const Job& job);
+  /// The submission path proper. It stays out of line from
+  /// on_job_submitted: with its body merged under the ScopedPhase, GCC 12
+  /// compiled the Eq. 2 scan ~10% slower (bench/e2e libra-1024, 10 pairs).
+  void submit(const Job& job);
   /// ZeroRisk candidate scan through core::assess_nodes over adaptive node
   /// chunks; fills suitable_ and maintains the same per-consumed-node
   /// counters and trace events as the scalar scan, in node order.
@@ -257,14 +250,6 @@ class LibraScheduler final : public Scheduler {
   /// original deadline before the collector judges lateness.
   void resolve_overload(const Job& job, sim::SimTime when, bool killed);
 
-  // Seed implementation, kept for differential testing (LibraConfig::legacy_path).
-  [[nodiscard]] RiskAssessment assess_with_job_legacy(cluster::NodeId node,
-                                                      const Job& job) const;
-  [[nodiscard]] bool node_suitable_legacy(cluster::NodeId node, const Job& job,
-                                          double& fit,
-                                          double* sigma_out = nullptr) const;
-  void submit_legacy(const Job& job);
-
   sim::Simulator& sim_;
   cluster::TimeSharedExecutor& executor_;
   Collector& collector_;
@@ -289,7 +274,7 @@ class LibraScheduler final : public Scheduler {
   /// minimal NodeStateParts the admission scan needs from node_state().
   bool use_aggregates_ = false;
   cluster::NodeStateParts scan_parts_ = cluster::kStateAll;
-  /// Grow-only buffers for the batched ZeroRisk scan (submit_fast).
+  /// Grow-only buffers for the batched ZeroRisk scan.
   struct BatchEntry {
     cluster::NodeId node;
     bool empty;

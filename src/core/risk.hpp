@@ -73,7 +73,7 @@ struct RiskConfig {
   /// How the batched kernel (assess_nodes) accumulates per-resident terms:
   ///  - Strict (default): one left-fold in resident order, the exact
   ///    operation sequence of the scalar assess_node — results (and hence
-  ///    decisions and .lrt traces) are bit-identical to the oracles.
+  ///    decisions and .lrt traces) are bit-identical to the scalar kernel.
   ///  - Reassociated: multi-accumulator / SIMD-lane partial sums (and the
   ///    explicit AVX2 path when built with LIBRISK_RISK_SIMD). Changes the
   ///    floating-point grouping, so sums differ from Strict by at most the
@@ -336,14 +336,6 @@ void assess_nodes(std::span<const NodeRiskInput> nodes, double candidate_work,
                                          const RiskConfig& config,
                                          double speed_factor = 1.0,
                                          double available_capacity = 1.0);
-
-/// The seed implementation (multi-pass, allocating), kept compiled as the
-/// reference for the differential equivalence tests and benchmarks; do not
-/// use in new code.
-[[nodiscard]] RiskAssessment assess_node_legacy(std::span<const RiskJobInput> jobs,
-                                                const RiskConfig& config,
-                                                double speed_factor = 1.0,
-                                                double available_capacity = 1.0);
 
 /// Completion offsets (seconds from now) of jobs with the given remaining
 /// works when a node of speed `speed_factor` splits capacity equally among

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -329,7 +330,15 @@ class Parser {
         fail("digits required in exponent");
       while (!at_end() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
     }
-    return std::stod(std::string(text_.substr(start, pos_ - start)));
+    // strtod, not stod: stod throws std::out_of_range on a literal beyond
+    // double's range. Overflow is an error here; underflow rounds toward 0.
+    const std::string literal(text_.substr(start, pos_ - start));
+    const double value = std::strtod(literal.c_str(), nullptr);
+    if (std::isinf(value)) {
+      pos_ = start;
+      fail("number out of range: " + literal);
+    }
+    return value;
   }
 
   std::string_view text_;

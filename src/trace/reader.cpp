@@ -1,6 +1,7 @@
 #include "trace/reader.hpp"
 
 #include <bit>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -98,17 +99,32 @@ std::string slurp(std::istream& in) {
   return std::move(buffer).str();
 }
 
+TraceError jsonl_error(std::size_t line_no, const std::string& what) {
+  return TraceError("JSONL trace line " + std::to_string(line_no) + ": " + what);
+}
+
+/// `key` as an integral value in [lo, hi) — the range on which the cast to
+/// the field's integer type is defined — or a TraceError naming the line.
+double integral_field(const json::Value& v, const std::string& key,
+                      double fallback, double lo, double hi,
+                      std::size_t line_no) {
+  const double x = v.number_or(key, fallback);
+  if (!(x >= lo && x < hi) || x != std::floor(x))
+    throw jsonl_error(line_no, "\"" + key + "\" is not an integer in range");
+  return x;
+}
+
+constexpr double kTwoPow63 = 9223372036854775808.0;
+
 Event event_from_json(const json::Value& v, std::size_t line_no) {
-  const auto fail = [line_no](const std::string& what) -> TraceError {
-    return TraceError("JSONL trace line " + std::to_string(line_no) + ": " + what);
-  };
   const json::Value* kind = v.find("kind");
-  if (kind == nullptr) throw fail("missing \"kind\"");
+  if (kind == nullptr) throw jsonl_error(line_no, "missing \"kind\"");
   Event e;
   try {
     e.kind = parse_event_kind(kind->as_string());
     e.time = v.number_or("t", 0.0);
-    e.job = static_cast<std::int64_t>(v.number_or("job", -1.0));
+    e.job = static_cast<std::int64_t>(
+        integral_field(v, "job", -1.0, -kTwoPow63, kTwoPow63, line_no));
     e.node = static_cast<std::int32_t>(v.int_or("node", -1));
     e.a = v.number_or("a", 0.0);
     e.b = v.number_or("b", 0.0);
@@ -116,11 +132,32 @@ Event event_from_json(const json::Value& v, std::size_t line_no) {
     if (const json::Value* reason = v.find("reason"); reason != nullptr)
       e.reason = parse_rejection_reason(reason->as_string());
   } catch (const std::invalid_argument& err) {
-    throw fail(err.what());
+    throw jsonl_error(line_no, err.what());
   } catch (const json::ParseError& err) {
-    throw fail(err.what());
+    throw jsonl_error(line_no, err.what());
   }
   return e;
+}
+
+/// Fills `data`'s header fields from the meta line. Versions other than the
+/// two .lrt versions read_lrt accepts are rejected here too.
+void meta_from_json(const json::Value& v, std::size_t line_no, TraceData& data) {
+  try {
+    if (v.string_or("trace", "") != "librisk")
+      throw TraceError("not a librisk JSONL trace (missing meta line)");
+    data.meta.policy = v.string_or("policy", "");
+    data.meta.seed = static_cast<std::uint64_t>(
+        integral_field(v, "seed", 0.0, 0.0, 2.0 * kTwoPow63, line_no));
+    const double version = v.number_or("version", kLrtVersionV1);
+    if (version != kLrtVersionV1 && version != kLrtVersion)
+      throw jsonl_error(line_no, "unsupported trace version " +
+                                     json::Value(version).dump());
+    data.version = static_cast<std::uint8_t>(version);
+    data.has_margins = v.bool_or("margins", false);
+    data.has_overload = v.bool_or("overload", false);
+  } catch (const json::ParseError& err) {
+    throw jsonl_error(line_no, err.what());
+  }
 }
 
 }  // namespace
@@ -196,18 +233,10 @@ TraceData read_jsonl(std::istream& in) {
     try {
       v = json::parse(line);
     } catch (const json::ParseError& err) {
-      throw TraceError("JSONL trace line " + std::to_string(line_no) + ": " +
-                       err.what());
+      throw jsonl_error(line_no, err.what());
     }
     if (!saw_meta) {
-      if (v.string_or("trace", "") != "librisk")
-        throw TraceError("not a librisk JSONL trace (missing meta line)");
-      data.meta.policy = v.string_or("policy", "");
-      data.meta.seed = static_cast<std::uint64_t>(v.number_or("seed", 0.0));
-      data.version =
-          static_cast<std::uint8_t>(v.number_or("version", kLrtVersionV1));
-      data.has_margins = v.bool_or("margins", false);
-      data.has_overload = v.bool_or("overload", false);
+      meta_from_json(v, line_no, data);
       saw_meta = true;
       continue;
     }

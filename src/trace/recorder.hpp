@@ -6,8 +6,8 @@
 // enabled_ is cached at attach time from Sink::discards() — with the default
 // NullSink (or no recorder at all) an emission site costs one predictable
 // branch and constructs nothing, which is how the admission hot path stays
-// zero-allocation and bit-identical (guarded by test_admission_equivalence
-// and bench/micro_trace.cpp's <=2% budget).
+// zero-allocation and bit-identical (guarded by test_golden_decisions and
+// bench/micro_trace.cpp's <=2% budget).
 //
 // Ownership: the Recorder borrows the Sink; callers keep both alive for the
 // duration of the run and call sink.close() (or let BinarySink's destructor)

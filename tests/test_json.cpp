@@ -81,6 +81,29 @@ TEST(Json, MalformedInputsThrowWithPosition) {
   }
 }
 
+// A literal beyond double's range is a ParseError at the number, not a
+// std::out_of_range escaping the parser; underflow rounds toward zero.
+TEST(Json, OutOfRangeNumbersThrowParseError) {
+  for (const char* bad : {"1e400", "-1e400", "[1, 2e999]", "{\"job\":1e400}"}) {
+    try {
+      (void)parse(bad);
+      ADD_FAILURE() << "expected ParseError for " << bad;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << e.what();
+    }
+  }
+  try {
+    (void)parse("{\n  \"a\": 1e400\n}");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2, column 8"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(parse("1e-400").as_number(), 0.0);
+  EXPECT_EQ(parse("1.7976931348623157e308").as_number(), 1.7976931348623157e308);
+}
+
 TEST(Json, DuplicateKeysRejected) {
   EXPECT_THROW((void)parse(R"({"a":1, "a":2})"), ParseError);
 }

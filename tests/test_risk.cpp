@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "risk_oracle.hpp"
 #include "support/check.hpp"
 
 namespace librisk::core {
@@ -210,7 +211,7 @@ TEST(AssessNode, RejectsBadInputs) {
 }
 
 // The workspace overload must be bit-identical to the allocating one (and
-// both to the preserved seed implementation) for every prediction model and
+// both to the seed implementation in risk_oracle.cpp) for every prediction model and
 // the usual edge cases.
 TEST(AssessNodeWorkspace, MatchesAllocatingPathBitwise) {
   const std::vector<std::vector<RiskJobInput>> populations{
@@ -234,7 +235,7 @@ TEST(AssessNodeWorkspace, MatchesAllocatingPathBitwise) {
         // ProcessorSharing rejects zero-work inputs via the sort? It does
         // not — zero work is a valid finished job; keep all populations.
         for (const auto& jobs : populations) {
-          const RiskAssessment ref = assess_node_legacy(jobs, config, speed, capacity);
+          const RiskAssessment ref = assess_node_reference(jobs, config, speed, capacity);
           const RiskAssessment alloc = assess_node(jobs, config, speed, capacity);
           const RiskAssessmentView view =
               assess_node(jobs, config, speed, capacity, ws);

@@ -1,5 +1,6 @@
 // Differential coverage for the batched SoA risk kernel (core::assess_nodes)
-// against the scalar workspace kernel and the seed-era legacy oracle, plus
+// against the scalar workspace kernel and the seed implementation
+// (tests/risk_oracle.cpp), plus
 // the conservativeness property of the batch early-exit σ-spread bound
 // (same shape as the GatewayConservative.* certificate tests).
 //
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "cluster/share_model.hpp"
+#include "risk_oracle.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -139,7 +141,7 @@ TEST(RiskBatch, StrictMatchesScalarAndLegacyBitwise) {
       const RiskAssessmentView scalar =
           assess_node(inputs, config, nodes[b].speed, nodes[b].capacity,
                       scalar_ws);
-      const RiskAssessment legacy = assess_node_legacy(
+      const RiskAssessment seed = assess_node_reference(
           inputs, config, nodes[b].speed, nodes[b].capacity);
       const NodeRiskVerdict& v = verdicts[b];
       ASSERT_EQ(v.suitable, scalar.zero_risk(config))
@@ -150,10 +152,10 @@ TEST(RiskBatch, StrictMatchesScalarAndLegacyBitwise) {
       EXPECT_EQ(v.mu, scalar.mu);
       EXPECT_EQ(v.max_deadline_delay, scalar.max_deadline_delay);
       EXPECT_FALSE(v.bound_skipped);
-      // Legacy oracle triangulation (scalar == legacy is pinned elsewhere;
+      // Seed oracle triangulation (scalar == seed is pinned in test_risk;
       // keep the batched kernel honest against the seed directly too).
-      EXPECT_EQ(v.sigma, legacy.sigma);
-      EXPECT_EQ(v.total_share, legacy.total_share);
+      EXPECT_EQ(v.sigma, seed.sigma);
+      EXPECT_EQ(v.total_share, seed.total_share);
     }
   }
 }

@@ -210,6 +210,46 @@ TEST(TraceReader, MalformedJsonlFailsCleanly) {
   EXPECT_THROW(trace::read_jsonl(bad_in), trace::TraceError);
 }
 
+// Integer fields arrive as JSON numbers; a value the integer type cannot
+// hold (negative seed, fractional or huge job id, unknown version) is a
+// TraceError naming the line, never a wrapped or undefined cast.
+TEST(TraceReader, JsonlIntegerFieldsAreRangeChecked) {
+  const std::string meta =
+      "{\"trace\":\"librisk\",\"version\":2,\"policy\":\"Libra\",\"seed\":3}\n";
+  const auto expect_rejected = [](const std::string& text, const char* line) {
+    std::istringstream in(text);
+    try {
+      (void)trace::read_jsonl(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const trace::TraceError& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected("{\"trace\":\"librisk\",\"seed\":-1}\n", "line 1");
+  expect_rejected("{\"trace\":\"librisk\",\"seed\":2.5}\n", "line 1");
+  expect_rejected("{\"trace\":\"librisk\",\"seed\":1e30}\n", "line 1");
+  expect_rejected("{\"trace\":\"librisk\",\"version\":300}\n", "line 1");
+  expect_rejected("{\"trace\":\"librisk\",\"version\":0}\n", "line 1");
+  expect_rejected("{\"trace\":\"librisk\",\"version\":1.5}\n", "line 1");
+  expect_rejected(meta + "{\"t\":0,\"kind\":\"job_submitted\",\"job\":1e300}\n",
+                  "line 2");
+  expect_rejected(meta + "{\"t\":0,\"kind\":\"job_submitted\",\"job\":-1e19}\n",
+                  "line 2");
+  expect_rejected(meta + "{\"t\":0,\"kind\":\"job_submitted\",\"job\":1.5}\n",
+                  "line 2");
+  expect_rejected(meta + "{\"t\":0,\"kind\":\"job_submitted\",\"job\":1e400}\n",
+                  "line 2");
+
+  std::istringstream ok(meta + "{\"t\":0,\"kind\":\"job_submitted\",\"job\":-1}\n" +
+                        "{\"t\":1,\"kind\":\"job_submitted\",\"job\":4611686018427387904}\n");
+  const trace::TraceData data = trace::read_jsonl(ok);
+  EXPECT_EQ(data.meta.seed, 3u);
+  EXPECT_EQ(data.version, 2);
+  ASSERT_EQ(data.events.size(), 2u);
+  EXPECT_EQ(data.events[0].job, -1);
+  EXPECT_EQ(data.events[1].job, std::int64_t{1} << 62);
+}
+
 TEST(TraceSummary, CountsMatchAdmissionStats) {
   std::ostringstream os;
   trace::BinarySink sink(os, {"LibraRisk", 11});
