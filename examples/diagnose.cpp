@@ -69,9 +69,7 @@ int main(int argc, char** argv) {
     // exactly the jobs this breakdown exists to explain.
     std::size_t degraded = 0, deferred = 0;
     // Rejection attribution from the per-job outcome reasons (the typed
-    // AdmissionOutcome surface) instead of diffing AdmissionStats counters
-    // — which also attributes the space-shared policies' rejections, a
-    // column the Libra-only counters could never fill.
+    // AdmissionOutcome surface), which every policy fills alike.
     std::size_t rej_share = 0, rej_sigma = 0, rej_deadline = 0, rej_node = 0;
     for (const exp::JobOutcome& o : r.outcomes) {
       if (o.underestimated) ++under_total;
@@ -101,9 +99,10 @@ int main(int argc, char** argv) {
           break;
       }
     }
-    // Admission/kernel effort via the shared derived-stat helpers (zero for
-    // space-shared policies, which use neither the Libra admission scan nor
-    // the time-shared executor).
+    // Admission/kernel effort via the shared derived-stat helpers. The
+    // space-shared policies fill the near-miss columns (the dispatch-time
+    // deadline test) but leave the scan and kernel columns at zero: they
+    // use neither the Libra admission scan nor the time-shared executor.
     const core::AdmissionStats& adm = r.admission;
     const cluster::KernelStats& kern = r.kernel;
     t.add_row({std::string(core::to_string(policy)),

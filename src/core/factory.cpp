@@ -2,11 +2,8 @@
 
 #include <stdexcept>
 
-#include "cluster/spaceshared.hpp"
 #include "cluster/timeshared.hpp"
-#include "core/edf.hpp"
-#include "core/fcfs.hpp"
-#include "core/qops.hpp"
+#include "core/spaceshared.hpp"
 
 namespace librisk::core {
 
@@ -71,11 +68,10 @@ class TimeSharedStack final : public SchedulerStack {
   LibraScheduler scheduler_;
 };
 
-template <typename SchedulerT, typename ConfigT>
 class SpaceSharedStack final : public SchedulerStack {
  public:
   SpaceSharedStack(sim::Simulator& simulator, const cluster::Cluster& cluster,
-                   Collector& collector, ConfigT config, std::string name,
+                   Collector& collector, DispatchConfig config, std::string name,
                    cluster::SpaceSharedConfig executor_config, const Hooks& hooks)
       : executor_(simulator, cluster, executor_config),
         scheduler_(simulator, executor_, collector, config, std::move(name)) {
@@ -90,17 +86,12 @@ class SpaceSharedStack final : public SchedulerStack {
     return executor_.busy_node_seconds(now);
   }
   AdmissionStats admission_stats() const override {
-    // Schedulers that track the shared stats shape (EDF's dispatch-time
-    // admission control) surface it; the rest keep the all-zero default.
-    if constexpr (requires { scheduler_.admission_stats(); })
-      return scheduler_.admission_stats();
-    else
-      return {};
+    return scheduler_.admission_stats();
   }
 
  private:
   cluster::SpaceSharedExecutor executor_;
-  SchedulerT scheduler_;
+  SpaceSharedScheduler scheduler_;
 };
 
 LibraConfig libra_family_config(Policy policy, const PolicyOptions& options) {
@@ -116,6 +107,19 @@ LibraConfig libra_family_config(Policy policy, const PolicyOptions& options) {
   config.risk.rule = options.risk.rule;
   if (options.selection_override) config.selection = *options.selection_override;
   config.overload = options.overload;
+  return config;
+}
+
+/// The dispatch dials per space-shared policy (the table in
+/// core/spaceshared.hpp).
+DispatchConfig dispatch_config(Policy policy, const PolicyOptions& options) {
+  DispatchConfig config;
+  if (policy == Policy::Fcfs || policy == Policy::Easy)
+    config.order = QueueOrder::Arrival;
+  config.deadline_test = policy == Policy::Edf || policy == Policy::EdfBackfill;
+  config.backfilling = policy == Policy::EdfBackfill || policy == Policy::Easy;
+  if (policy == Policy::Qops) config.qops_slack = options.qops_slack_factor;
+  config.overload = options.overload;  // acts only with the deadline test
   return config;
 }
 
@@ -140,35 +144,13 @@ std::unique_ptr<SchedulerStack> make_scheduler(Policy policy,
           simulator, cluster, collector, libra_family_config(policy, options),
           name, options.share_model, options.hooks);
     case Policy::Edf:
-      return std::make_unique<SpaceSharedStack<EdfScheduler, EdfConfig>>(
-          simulator, cluster, collector,
-          EdfConfig{.admission_control = true, .overload = options.overload},
-          name, space_config, options.hooks);
     case Policy::EdfNoAC:
-      // No admission control means no rejection site for any mode to bend.
-      return std::make_unique<SpaceSharedStack<EdfScheduler, EdfConfig>>(
-          simulator, cluster, collector, EdfConfig{.admission_control = false, .overload = {}},
-          name, space_config, options.hooks);
     case Policy::EdfBackfill:
-      return std::make_unique<SpaceSharedStack<EdfScheduler, EdfConfig>>(
-          simulator, cluster, collector,
-          EdfConfig{.admission_control = true, .backfilling = true,
-                    .overload = options.overload},
-          name, space_config, options.hooks);
     case Policy::Fcfs:
-      return std::make_unique<SpaceSharedStack<FcfsScheduler, FcfsConfig>>(
-          simulator, cluster, collector,
-          FcfsConfig{.backfilling = false, .deadline_admission = false}, name,
-          space_config, options.hooks);
     case Policy::Easy:
-      return std::make_unique<SpaceSharedStack<FcfsScheduler, FcfsConfig>>(
-          simulator, cluster, collector,
-          FcfsConfig{.backfilling = true, .deadline_admission = false}, name,
-          space_config, options.hooks);
     case Policy::Qops:
-      return std::make_unique<SpaceSharedStack<QopsScheduler, QopsConfig>>(
-          simulator, cluster, collector,
-          QopsConfig{.slack_factor = options.qops_slack_factor}, name,
+      return std::make_unique<SpaceSharedStack>(
+          simulator, cluster, collector, dispatch_config(policy, options), name,
           space_config, options.hooks);
   }
   throw std::invalid_argument("unhandled policy");

@@ -50,8 +50,9 @@ struct PolicyOptions {
   /// (HardReject) reproduces today's behavior exactly — byte-identical
   /// traces; any other mode bends the named shortfall sites while the
   /// configured load threshold is exceeded. Consulted by the Libra family
-  /// and EDF; the FCFS/EASY/QoPS family has no shortfall site to bend and
-  /// treats every mode as HardReject (docs/OVERLOAD.md, support matrix).
+  /// and by the dispatch-time deadline test of EDF and EDF-BF; EDF-NoAC,
+  /// FCFS, EASY and QoPS have no shortfall site to bend and treat every
+  /// mode as HardReject (docs/OVERLOAD.md, support matrix).
   OverloadConfig overload;
   /// Optional observation hooks (decision-audit recorder + live telemetry),
   /// attached as one value to both the scheduler and its executor — the
@@ -69,9 +70,10 @@ class SchedulerStack {
   [[nodiscard]] virtual Scheduler& scheduler() noexcept = 0;
   /// Delivered busy node-seconds so far (for utilization accounting).
   [[nodiscard]] virtual double busy_node_seconds(sim::SimTime now) const = 0;
-  /// Admission hot-path counters; all-zero for policies that do not run a
-  /// per-node admission scan (the space-shared family).
-  [[nodiscard]] virtual AdmissionStats admission_stats() const { return {}; }
+  /// Admission counters (AdmissionStats). Every policy counts submissions,
+  /// outcomes and rejection reasons; the node-scan counters stay 0 for the
+  /// space-shared family, which has no per-node admission scan.
+  [[nodiscard]] virtual AdmissionStats admission_stats() const = 0;
   /// Execution-kernel effort counters; all-zero for policies that do not
   /// drive the time-shared executor (the space-shared family).
   [[nodiscard]] virtual cluster::KernelStats kernel_stats() const { return {}; }

@@ -43,13 +43,13 @@ AdmissionGateway::AdmissionGateway(GatewayConfig config)
     case Policy::Edf:
     case Policy::EdfBackfill:
       // deadline_feasible() at the earliest possible `now` (the submit
-      // instant) with the fastest node; admission_control is always on for
-      // these two in the factory.
+      // instant) with the fastest node; the factory always turns the
+      // dispatch-time deadline test on for these two.
       model_.deadline_test = true;
       model_.slack_factor = 1.0;
       break;
     case Policy::Qops:
-      // The candidate's own completion bound inside feasible_with():
+      // The candidate's own completion bound inside qops_feasible():
       // start >= submit, finish >= submit + estimate/max_speed.
       model_.deadline_test = true;
       model_.slack_factor = config_.engine.options.qops_slack_factor;

@@ -62,75 +62,6 @@ struct LibraConfig {
   static LibraConfig libra_risk();
 };
 
-/// Counters over the admission hot path, reset-free and monotonic; cheap
-/// enough to maintain unconditionally. Queryable from the scheduler (and
-/// surfaced by `librisk-sim run`, `examples/diagnose` and ScenarioResult).
-struct AdmissionStats {
-  std::uint64_t submissions = 0;      ///< jobs offered to the admission test
-  std::uint64_t accepted = 0;
-  std::uint64_t rejections = 0;
-  std::uint64_t nodes_scanned = 0;    ///< nodes examined for suitability
-  std::uint64_t assessments = 0;      ///< full share/risk evaluations run
-  std::uint64_t empty_node_skips = 0; ///< ZeroRisk empty-node fast-path hits
-  std::uint64_t early_exits = 0;      ///< FirstFit scans stopped before the last node
-  /// Of `assessments`, those served by the batched core::assess_nodes kernel
-  /// (ZeroRisk scans; the remainder went through the scalar per-node path).
-  std::uint64_t batched_assessments = 0;
-  /// Nodes rejected by the batch σ-spread bound without a full evaluation
-  /// (untraced ZeroRisk scans only — tracing needs the exact σ, so traced
-  /// runs evaluate every node and this stays 0). These nodes still count in
-  /// `nodes_scanned` but not in `assessments`.
-  std::uint64_t nodes_batch_skipped = 0;
-  /// Rejections attributed by reason (sums to `rejections`):
-  std::uint64_t rejected_share_overflow = 0;   ///< Eq. 2 total-share shortfall (Libra)
-  std::uint64_t rejected_risk_sigma = 0;       ///< sigma-test shortfall (LibraRisk)
-  std::uint64_t rejected_no_suitable_node = 0; ///< needs more nodes than the cluster has
-  std::uint64_t rejected_deadline_infeasible = 0; ///< EDF dispatch-time deadline test
-  /// Near-miss rejections, attributed by the decisive test: the job-level
-  /// deficit (the k-th smallest failing-node shortfall, k = num_procs -
-  /// suitable — i.e. the smallest improvement that would have admitted) was
-  /// within 5% / 10% of the test's scale (share: node capacity; sigma:
-  /// max(sigma_threshold, 1); deadline: the job's relative deadline). The
-  /// 10% counters include the 5% ones. Exact when margins are observed
-  /// (trace/explain attached); conservative — an undercount — when the
-  /// batch spread bound skipped exact sigmas, same caveat as
-  /// `nodes_batch_skipped`.
-  std::uint64_t near_miss_share_5 = 0;
-  std::uint64_t near_miss_share_10 = 0;
-  std::uint64_t near_miss_sigma_5 = 0;
-  std::uint64_t near_miss_sigma_10 = 0;
-  std::uint64_t near_miss_deadline_5 = 0;   ///< EDF-family dispatch rejections
-  std::uint64_t near_miss_deadline_10 = 0;
-  /// Overload-catalog outcomes (core/overload.hpp); all 0 under HardReject.
-  /// `degraded_admits` is a subset of `accepted` (the job IS running, it
-  /// just got there through a licensed bend); `shed_tail` is a subset of
-  /// `rejected_share_overflow` — the per-reason sums stay exact either way.
-  std::uint64_t degraded_admits = 0;       ///< admissions via a degraded-mode bend
-  std::uint64_t deferrals = 0;             ///< DeferToSalvage park events (retries, not jobs)
-  std::uint64_t shed_tail = 0;             ///< ShedTail pre-rejections
-  std::uint64_t overload_activations = 0;  ///< governor flips into degraded operation
-
-  /// Derived views shared by every stats surface (CLI, diagnose, telemetry)
-  /// so the arithmetic lives in exactly one place. All are 0 when the
-  /// denominator is 0 (space-shared policies never run this scan).
-  [[nodiscard]] double scans_per_submission() const noexcept {
-    return submissions > 0 ? static_cast<double>(nodes_scanned) /
-                                 static_cast<double>(submissions)
-                           : 0.0;
-  }
-  [[nodiscard]] double accept_rate() const noexcept {
-    return submissions > 0
-               ? static_cast<double>(accepted) / static_cast<double>(submissions)
-               : 0.0;
-  }
-  [[nodiscard]] std::uint64_t near_miss_5() const noexcept {
-    return near_miss_share_5 + near_miss_sigma_5 + near_miss_deadline_5;
-  }
-  [[nodiscard]] std::uint64_t near_miss_10() const noexcept {
-    return near_miss_share_10 + near_miss_sigma_10 + near_miss_deadline_10;
-  }
-};
-
 class LibraScheduler final : public Scheduler {
  public:
   /// The executor's completion events feed the collector; the scheduler

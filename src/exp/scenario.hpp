@@ -68,7 +68,7 @@ struct ScenarioResult {
   metrics::RunSummary summary;
   std::vector<JobOutcome> outcomes;
   std::uint64_t events_processed = 0;
-  /// Admission hot-path counters (all-zero for space-shared policies).
+  /// Admission counters; the node-scan ones stay 0 for space-shared policies.
   core::AdmissionStats admission;
   /// Execution-kernel effort counters (all-zero for space-shared policies).
   cluster::KernelStats kernel;

@@ -1,4 +1,4 @@
-#include "core/edf.hpp"
+#include "core/spaceshared.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,10 +10,10 @@ namespace {
 using librisk::testing::JobBuilder;
 
 struct Fixture {
-  explicit Fixture(int nodes, EdfConfig config = EdfConfig{})
+  explicit Fixture(int nodes, DispatchConfig config = DispatchConfig{})
       : cluster(cluster::Cluster::homogeneous(nodes, 1.0)),
         executor(simulator, cluster),
-        scheduler(simulator, executor, collector, config) {}
+        scheduler(simulator, executor, collector, config, "EDF") {}
 
   void submit(const workload::Job& job) {
     collector.record_submitted(job, simulator.now());
@@ -24,7 +24,7 @@ struct Fixture {
   cluster::Cluster cluster;
   cluster::SpaceSharedExecutor executor;
   metrics::Collector collector;
-  EdfScheduler scheduler;
+  SpaceSharedScheduler scheduler;
 };
 
 TEST(Edf, RunsImmediatelyWhenNodesFree) {
@@ -132,7 +132,7 @@ TEST(Edf, UsesEstimateNotActualForAdmission) {
 }
 
 TEST(EdfNoAC, RunsEverythingEvenLate) {
-  Fixture f(1, EdfConfig{.admission_control = false, .overload = {}});
+  Fixture f(1, DispatchConfig{.deadline_test = false, .overload = {}});
   const workload::Job a = JobBuilder(1).set_runtime(100.0).deadline(150.0).build();
   const workload::Job b = JobBuilder(2).set_runtime(100.0).deadline(150.0).build();
   f.submit(a);
@@ -144,7 +144,7 @@ TEST(EdfNoAC, RunsEverythingEvenLate) {
 }
 
 TEST(EdfBackfill, FillsTheShadowWindow) {
-  Fixture f(2, EdfConfig{.admission_control = true, .backfilling = true, .overload = {}});
+  Fixture f(2, DispatchConfig{.backfilling = true, .overload = {}});
   const workload::Job occupant = JobBuilder(1).set_runtime(100.0).deadline(400.0).build();
   f.submit(occupant);
   const workload::Job head =
@@ -161,7 +161,7 @@ TEST(EdfBackfill, FillsTheShadowWindow) {
 }
 
 TEST(EdfBackfill, RefusesBackfillThatWouldDelayHead) {
-  Fixture f(2, EdfConfig{.admission_control = true, .backfilling = true, .overload = {}});
+  Fixture f(2, DispatchConfig{.backfilling = true, .overload = {}});
   const workload::Job occupant = JobBuilder(1).set_runtime(100.0).deadline(400.0).build();
   f.submit(occupant);
   const workload::Job head =
@@ -175,7 +175,7 @@ TEST(EdfBackfill, RefusesBackfillThatWouldDelayHead) {
 }
 
 TEST(EdfBackfill, BackfillsInDeadlineOrder) {
-  Fixture f(3, EdfConfig{.admission_control = true, .backfilling = true, .overload = {}});
+  Fixture f(3, DispatchConfig{.backfilling = true, .overload = {}});
   // Occupy all three nodes: nothing can backfill yet.
   const workload::Job wide =
       JobBuilder(1).set_runtime(100.0).deadline(400.0).procs(2).build();
@@ -202,7 +202,7 @@ TEST(EdfBackfill, BackfillsInDeadlineOrder) {
 }
 
 TEST(EdfBackfill, SkipsInfeasibleCandidatesWithoutRejectingThem) {
-  Fixture f(2, EdfConfig{.admission_control = true, .backfilling = true, .overload = {}});
+  Fixture f(2, DispatchConfig{.backfilling = true, .overload = {}});
   // Shadow time 600 (occupant's estimate) is *later* than the head's
   // deadline, which opens the window for a candidate that fits the window
   // by estimate (580 <= 600) yet cannot meet its own deadline (580 > 560).

@@ -5,10 +5,9 @@
 #include <sstream>
 
 #include "core/factory.hpp"
-#include "core/edf.hpp"
 #include "core/libra.hpp"
-#include "core/qops.hpp"
 #include "core/risk.hpp"
+#include "core/spaceshared.hpp"
 #include "cluster/timeshared.hpp"
 #include "cluster/spaceshared.hpp"
 #include "exp/scenario.hpp"
@@ -102,8 +101,9 @@ TEST(FactoryEdge, QopsSlackFactorPlumbs) {
   options.qops_slack_factor = 1.75;
   const auto stack =
       core::make_scheduler(core::Policy::Qops, simulator, cluster, collector, options);
-  const auto& scheduler = dynamic_cast<core::QopsScheduler&>(stack->scheduler());
-  EXPECT_DOUBLE_EQ(scheduler.config().slack_factor, 1.75);
+  const auto& scheduler =
+      dynamic_cast<core::SpaceSharedScheduler&>(stack->scheduler());
+  EXPECT_EQ(scheduler.config().qops_slack, 1.75);
 }
 
 TEST(FactoryEdge, EdfBackfillNameRoundTrips) {
@@ -211,7 +211,7 @@ TEST(EdfEdge, FeasibilityUsesFastestNodeOnMixedClusters) {
   sim::Simulator simulator;
   metrics::Collector collector;
   cluster::SpaceSharedExecutor executor(simulator, mixed);
-  core::EdfScheduler scheduler(simulator, executor, collector, {});
+  core::SpaceSharedScheduler scheduler(simulator, executor, collector, {}, "EDF");
   const workload::Job job =
       JobBuilder(1).estimate(150.0).set_runtime(150.0).deadline(100.0).build();
   collector.record_submitted(job, 0.0);

@@ -155,8 +155,7 @@ TEST(ExplainProvenance, TracesByteIdenticalAcrossPoliciesAndSeeds) {
 }
 
 TEST(ExplainProvenance, OutcomesAndSummaryUnchanged) {
-  for (const core::Policy policy :
-       {core::Policy::LibraRisk, core::Policy::Libra, core::Policy::Edf}) {
+  for (const core::Policy policy : core::all_policies()) {
     const exp::ScenarioResult plain =
         exp::run_scenario(small_scenario(policy, 3));
     obs::ExplainRecorder rec;
@@ -173,6 +172,13 @@ TEST(ExplainProvenance, OutcomesAndSummaryUnchanged) {
       ASSERT_EQ(plain.outcomes[i].delay, explained.outcomes[i].delay);
     }
     EXPECT_GT(rec.recorded(), 0u) << core::to_string(policy);
+    // The space-shared policies accept implicitly by starting a job, so
+    // they explain exactly their rejections.
+    if (policy != core::Policy::Libra && policy != core::Policy::LibraRisk) {
+      EXPECT_EQ(rec.recorded(), explained.summary.rejected_at_submit +
+                                    explained.summary.rejected_at_dispatch)
+          << core::to_string(policy);
+    }
   }
 }
 

@@ -1,4 +1,4 @@
-#include "core/fcfs.hpp"
+#include "core/spaceshared.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,11 +10,20 @@ namespace {
 
 using librisk::testing::JobBuilder;
 
+/// FCFS (or, with backfilling, EASY): arrival order, no deadline test.
+DispatchConfig fcfs(bool backfilling) {
+  return DispatchConfig{.order = QueueOrder::Arrival,
+                        .deadline_test = false,
+                        .backfilling = backfilling,
+                        .qops_slack = {},
+                        .overload = {}};
+}
+
 struct Fixture {
-  explicit Fixture(int nodes, FcfsConfig config = FcfsConfig{})
+  explicit Fixture(int nodes, DispatchConfig config = fcfs(/*backfilling=*/true))
       : cluster(cluster::Cluster::homogeneous(nodes, 1.0)),
         executor(simulator, cluster),
-        scheduler(simulator, executor, collector, config) {}
+        scheduler(simulator, executor, collector, config, "FCFS") {}
 
   void submit(const workload::Job& job) {
     collector.record_submitted(job, simulator.now());
@@ -25,11 +34,11 @@ struct Fixture {
   cluster::Cluster cluster;
   cluster::SpaceSharedExecutor executor;
   metrics::Collector collector;
-  FcfsScheduler scheduler;
+  SpaceSharedScheduler scheduler;
 };
 
 TEST(Fcfs, RunsInArrivalOrder) {
-  Fixture f(1, FcfsConfig{.backfilling = false, .deadline_admission = false});
+  Fixture f(1, fcfs(/*backfilling=*/false));
   const workload::Job a = JobBuilder(1).set_runtime(50.0).deadline(1000.0).build();
   const workload::Job b = JobBuilder(2).set_runtime(10.0).deadline(1000.0).build();
   const workload::Job c = JobBuilder(3).set_runtime(10.0).deadline(1000.0).build();
@@ -43,8 +52,7 @@ TEST(Fcfs, RunsInArrivalOrder) {
 }
 
 TEST(Fcfs, PlainFcfsSuffersHeadOfLineBlocking) {
-  FcfsConfig config{.backfilling = false, .deadline_admission = false};
-  Fixture f(2, config);
+  Fixture f(2, fcfs(/*backfilling=*/false));
   const workload::Job occupant = JobBuilder(1).set_runtime(100.0).deadline(1000.0).build();
   f.submit(occupant);
   const workload::Job wide =
@@ -61,8 +69,7 @@ TEST(Fcfs, PlainFcfsSuffersHeadOfLineBlocking) {
 }
 
 TEST(Easy, BackfillsIntoTheShadowWindow) {
-  FcfsConfig config{.backfilling = true, .deadline_admission = false};
-  Fixture f(2, config);
+  Fixture f(2, fcfs(/*backfilling=*/true));
   const workload::Job occupant = JobBuilder(1).set_runtime(100.0).deadline(1000.0).build();
   f.submit(occupant);
   const workload::Job wide =
@@ -78,8 +85,7 @@ TEST(Easy, BackfillsIntoTheShadowWindow) {
 }
 
 TEST(Easy, RefusesBackfillThatWouldDelayHead) {
-  FcfsConfig config{.backfilling = true, .deadline_admission = false};
-  Fixture f(2, config);
+  Fixture f(2, fcfs(/*backfilling=*/true));
   const workload::Job occupant = JobBuilder(1).set_runtime(100.0).deadline(1000.0).build();
   f.submit(occupant);
   const workload::Job wide =
@@ -95,8 +101,7 @@ TEST(Easy, RefusesBackfillThatWouldDelayHead) {
 }
 
 TEST(Easy, BackfillsOnExtraNodesBeyondHeadNeed) {
-  FcfsConfig config{.backfilling = true, .deadline_admission = false};
-  Fixture f(4, config);
+  Fixture f(4, fcfs(/*backfilling=*/true));
   const workload::Job occupant =
       JobBuilder(1).set_runtime(100.0).deadline(1000.0).procs(2).build();
   f.submit(occupant);
@@ -113,8 +118,7 @@ TEST(Easy, BackfillsOnExtraNodesBeyondHeadNeed) {
 }
 
 TEST(Easy, UsesEstimatesForReservations) {
-  FcfsConfig config{.backfilling = true, .deadline_admission = false};
-  Fixture f(2, config);
+  Fixture f(2, fcfs(/*backfilling=*/true));
   // The occupant's *estimate* is 200 though it actually finishes at 50: the
   // shadow time is computed at 200, so a 150-second filler backfills.
   const workload::Job occupant =
@@ -130,7 +134,8 @@ TEST(Easy, UsesEstimatesForReservations) {
 }
 
 TEST(Fcfs, DeadlineAdmissionRejectsAtSelection) {
-  FcfsConfig config{.backfilling = false, .deadline_admission = true};
+  DispatchConfig config = fcfs(/*backfilling=*/false);
+  config.deadline_test = true;
   Fixture f(1, config);
   const workload::Job running = JobBuilder(1).set_runtime(200.0).deadline(1000.0).build();
   f.submit(running);
@@ -149,8 +154,7 @@ TEST(Fcfs, OversizedRequestRejectedAtSubmit) {
 }
 
 TEST(Easy, DrainsMixedWorkloadCompletely) {
-  FcfsConfig config{.backfilling = true, .deadline_admission = false};
-  Fixture f(4, config);
+  Fixture f(4, fcfs(/*backfilling=*/true));
   rng::Stream stream(13);
   std::vector<workload::Job> jobs;
   jobs.reserve(40);

@@ -16,6 +16,9 @@
 // admission digest equalled its run on the full-scan allocating admission
 // path, and each kernel digest its run on the whole-resident-set settle.
 // Matching the file is therefore equivalence with the seed implementation.
+// The overload labels (DowngradeQoS under EDF and EDF-BF, untraced and
+// traced) were recorded on the separate EDF/FCFS/QoPS schedulers that the
+// single space-shared dispatcher replaced.
 //
 // A mismatch prints the fresh line. An announced decision change updates
 // the file by pasting the printed lines over the stale ones (docs/API.md).
@@ -116,10 +119,14 @@ void make_heterogeneous(exp::Scenario& s) {
   s.rating = 168.0;
 }
 
-std::string untraced_digest(const exp::Scenario& scenario) {
+std::string result_digest(const exp::ScenarioResult& result) {
   Digest d;
-  hash_result(d, exp::run_scenario(scenario));
+  hash_result(d, result);
   return d.hex();
+}
+
+std::string untraced_digest(const exp::Scenario& scenario) {
+  return result_digest(exp::run_scenario(scenario));
 }
 
 struct TracedRun {
@@ -141,13 +148,25 @@ TracedRun run_traced(exp::Scenario scenario) {
   return run;
 }
 
-std::string traced_digest(const exp::Scenario& scenario) {
-  const TracedRun run = run_traced(scenario);
+std::string traced_run_digest(const TracedRun& run) {
   Digest d;
   d.bytes(run.lrt);
   hash_result(d, run.result);
   d.u64(run.result.events_processed);
   return d.hex();
+}
+
+std::string traced_digest(const exp::Scenario& scenario) {
+  return traced_run_digest(run_traced(scenario));
+}
+
+/// A digest is only a guard if the run takes the path it pins: every
+/// DowngradeQoS label must see at least one degraded admission.
+void expect_bend_fired(const exp::ScenarioResult& result,
+                       const exp::Scenario& scenario) {
+  EXPECT_GT(result.admission.degraded_admits, 0u)
+      << core::to_string(scenario.policy) << " seed " << scenario.seed
+      << " never bent a deadline";
 }
 
 /// LibraRisk with the given selection on a hand-built stack, recording the
@@ -321,6 +340,24 @@ std::vector<Case> all_cases() {
       add_traced(cases, "kernel/hetero/" + policy_name(policy) + seed_tag(seed),
                  s);
     }
+
+  // ---- overload: DowngradeQoS, the one bend at EDF's dispatch-time test ----
+  for (const core::Policy policy : {core::Policy::Edf, core::Policy::EdfBackfill})
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      exp::Scenario s = small_scenario(policy, seed);
+      s.options.overload.mode = core::DegradedMode::DowngradeQoS;
+      const std::string stem = "overload/" + policy_name(policy) + "/downgrade-qos/";
+      cases.push_back({stem + "untraced" + seed_tag(seed), [s] {
+                         const exp::ScenarioResult r = exp::run_scenario(s);
+                         expect_bend_fired(r, s);
+                         return result_digest(r);
+                       }});
+      cases.push_back({stem + "traced" + seed_tag(seed), [s] {
+                         const TracedRun run = run_traced(s);
+                         expect_bend_fired(run.result, s);
+                         return traced_run_digest(run);
+                       }});
+    }
   return cases;
 }
 
@@ -395,6 +432,9 @@ TEST(KernelEquivalence, KillOverrunAndModeAblations) {
   check_group("kernel/ablation/");
 }
 TEST(KernelEquivalence, HeterogeneousCluster) { check_group("kernel/hetero/"); }
+
+// Overload: EDF and EDF-BF under DowngradeQoS, untraced and traced.
+TEST(OverloadEquivalence, DowngradeQoSAtDispatch) { check_group("overload/"); }
 
 // The fixtures hold two whole small traces, so a drift there is reported
 // as the first divergent event rather than as a changed hash.

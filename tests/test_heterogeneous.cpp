@@ -6,11 +6,11 @@
 
 #include "cluster/spaceshared.hpp"
 #include "cluster/timeshared.hpp"
-#include "core/edf.hpp"
 #include "core/factory.hpp"
 #include "core/libra.hpp"
 #include "core/risk.hpp"
 #include "core/scheduler.hpp"
+#include "core/spaceshared.hpp"
 #include "helpers.hpp"
 #include "support/rng.hpp"
 
@@ -81,7 +81,7 @@ TEST(HeterogeneousClusterDetail, FastNodesFinishJobsSooner) {
   sim::Simulator simulator;
   metrics::Collector collector;
   cluster::SpaceSharedExecutor executor(simulator, cluster);
-  core::EdfScheduler scheduler(simulator, executor, collector, {});
+  core::SpaceSharedScheduler scheduler(simulator, executor, collector, {}, "EDF");
 
   // Two identical jobs; EDF assigns node 0 (rating 168) then node 1 (336).
   const Job a = JobBuilder(1).set_runtime(100.0).deadline(400.0).build();

@@ -235,6 +235,9 @@ TEST(OverloadAccounting, PerReasonRejectionsSumExactly) {
   for (const core::Policy policy : core::all_policies()) {
     for (const core::ModeSpec& spec : core::kOverloadCatalog) {
       const core::AdmissionStats adm = run_engine(policy, spec.mode, jobs);
+      // Every policy counts, so the sums below cannot hold vacuously.
+      EXPECT_EQ(adm.submissions, jobs.size())
+          << "policy " << core::to_string(policy) << ", mode " << spec.name;
       EXPECT_EQ(adm.rejections,
                 adm.rejected_share_overflow + adm.rejected_risk_sigma +
                     adm.rejected_no_suitable_node +

@@ -1,4 +1,4 @@
-#include "core/qops.hpp"
+#include "core/spaceshared.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,11 +11,20 @@ namespace {
 
 using librisk::testing::JobBuilder;
 
+/// QoPS: deadline order, the feasibility test at submission only.
+DispatchConfig qops(double slack) {
+  return DispatchConfig{.order = QueueOrder::Deadline,
+                        .deadline_test = false,
+                        .backfilling = false,
+                        .qops_slack = slack,
+                        .overload = {}};
+}
+
 struct Fixture {
-  explicit Fixture(int nodes, QopsConfig config = QopsConfig{})
+  explicit Fixture(int nodes, DispatchConfig config = qops(1.0))
       : cluster(cluster::Cluster::homogeneous(nodes, 1.0)),
         executor(simulator, cluster),
-        scheduler(simulator, executor, collector, config) {}
+        scheduler(simulator, executor, collector, config, "QoPS") {}
 
   void submit(const workload::Job& job) {
     collector.record_submitted(job, simulator.now());
@@ -26,7 +35,7 @@ struct Fixture {
   cluster::Cluster cluster;
   cluster::SpaceSharedExecutor executor;
   metrics::Collector collector;
-  QopsScheduler scheduler;
+  SpaceSharedScheduler scheduler;
 };
 
 TEST(Qops, AcceptsAndRunsFeasibleJob) {
@@ -70,8 +79,7 @@ TEST(Qops, ProtectsQueuedJobsFromLaterArrivals) {
 }
 
 TEST(Qops, SlackFactorAdmitsSoftDeadlineViolations) {
-  QopsConfig config{.slack_factor = 2.0};
-  Fixture f(1, config);
+  Fixture f(1, qops(2.0));
   const workload::Job running = JobBuilder(1).set_runtime(100.0).deadline(500.0).build();
   f.submit(running);
   // Starts at 100, finishes at 190 > deadline 100 but within 2x slack.
@@ -89,7 +97,7 @@ TEST(Qops, SlackFactorValidated) {
   cluster::SpaceSharedExecutor executor(simulator, cl);
   metrics::Collector collector;
   EXPECT_THROW(
-      QopsScheduler(simulator, executor, collector, QopsConfig{.slack_factor = 0.5}),
+      SpaceSharedScheduler(simulator, executor, collector, qops(0.5), "QoPS"),
       CheckError);
 }
 
