@@ -10,6 +10,12 @@
 // K grows the spread between load-aware routing (LeastRisk,
 // RandomTwoChoice) and the RoundRobin baseline is the figure.
 //
+// A second table measures the overload spill lane (docs/OVERLOAD.md) at
+// K = 4 for RoundRobin and LeastRisk: the same seeds with the lane off
+// (hard-reject) and on (downgrade-qos, which arms it), over compressed
+// inter-arrival gaps, with the paired fulfilled% difference and its t
+// statistic (stats::compare_paired).
+//
 // Results go to BENCH_federation.json (--out overrides); EXPERIMENTS.md
 // "Federated multi-cluster scale-out" carries the narrative. --quick
 // shrinks the trace and seed count for the bench-smoke ctest label.
@@ -22,6 +28,7 @@
 #include "cluster/cluster.hpp"
 #include "federation/federation.hpp"
 #include "support/cli.hpp"
+#include "support/significance.hpp"
 #include "support/table.hpp"
 #include "workload/synthetic.hpp"
 
@@ -107,9 +114,65 @@ Row run_cell(int clusters, federation::RoutePolicy policy, int job_count,
   return row;
 }
 
+/// One spill-lane comparison: K = 4, one route policy, one load scale.
+struct SpillRow {
+  std::string route;
+  double load_scale = 1.0;
+  double off_fulfilled_pct = 0.0;  ///< hard-reject: no spill lane
+  double on_fulfilled_pct = 0.0;   ///< downgrade-qos: spill lane armed
+  double spilled_pct = 0.0;        ///< jobs moved by the lane / submitted
+  stats::PairedComparison on_vs_off;
+};
+
+constexpr int kSpillClusters = 4;
+
+/// Paired spill-lane comparison: per seed, the K = 4 federation with the
+/// lane off (hard-reject) and on (downgrade-qos) over the same jobs.
+SpillRow run_spill(federation::RoutePolicy policy, double load_scale,
+                   int job_count, const std::vector<std::uint64_t>& seeds) {
+  SpillRow row;
+  row.route = federation::to_string(policy);
+  row.load_scale = load_scale;
+  std::vector<double> off, on;
+  for (const std::uint64_t seed : seeds) {
+    workload::PaperWorkloadConfig w;
+    w.trace.job_count = job_count;
+    std::vector<workload::Job> jobs = workload::make_paper_workload(w, seed);
+    workload::scale_interarrivals(jobs, load_scale);
+    for (const core::DegradedMode mode :
+         {core::DegradedMode::HardReject, core::DegradedMode::DowngradeQoS}) {
+      federation::FederationConfig config =
+          make_config(kSpillClusters, policy);
+      config.route_seed = seed;
+      config.overload.mode = mode;
+      federation::Federation fed(std::move(config));
+      for (const workload::Job& job : jobs) fed.submit(job);
+      fed.finish();
+      const federation::FederationSummary s = fed.summary();
+      if (mode == core::DegradedMode::HardReject) {
+        off.push_back(s.total.fulfilled_pct);
+      } else {
+        on.push_back(s.total.fulfilled_pct);
+        row.spilled_pct += 100.0 * static_cast<double>(s.spilled) /
+                           static_cast<double>(s.total.submitted);
+      }
+    }
+  }
+  const double n = static_cast<double>(seeds.size());
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    row.off_fulfilled_pct += off[i] / n;
+    row.on_fulfilled_pct += on[i] / n;
+  }
+  row.spilled_pct /= n;
+  row.on_vs_off = stats::compare_paired(on, off);
+  return row;
+}
+
 void write_json(const std::string& path, int job_count,
                 const std::vector<std::uint64_t>& seeds,
-                const std::vector<Row>& rows) {
+                const std::vector<Row>& rows,
+                const std::vector<std::uint64_t>& spill_seeds,
+                const std::vector<SpillRow>& spill_rows) {
   std::ofstream os(path);
   os << "{\n"
      << " \"note\": \"Regenerated by build/bench/fig_federation; see "
@@ -138,7 +201,25 @@ void write_json(const std::string& path, int job_count,
        << ", \"seconds\": " << r.seconds << "}"
        << (i + 1 < rows.size() ? "," : "") << '\n';
   }
-  os << " ]\n}\n";
+  os << " ],\n"
+     << " \"spill_lane\": {\n"
+     << "  \"clusters\": " << kSpillClusters << ",\n"
+     << "  \"seeds\": [";
+  for (std::size_t i = 0; i < spill_seeds.size(); ++i)
+    os << spill_seeds[i] << (i + 1 < spill_seeds.size() ? ", " : "");
+  os << "],\n"
+     << "  \"rows\": [\n";
+  for (std::size_t i = 0; i < spill_rows.size(); ++i) {
+    const SpillRow& r = spill_rows[i];
+    os << "   {\"route\": \"" << r.route << "\", \"load_scale\": "
+       << r.load_scale << ", \"off_fulfilled_pct\": " << r.off_fulfilled_pct
+       << ", \"on_fulfilled_pct\": " << r.on_fulfilled_pct
+       << ", \"delta_fulfilled_pp\": " << r.on_vs_off.mean_difference
+       << ", \"t\": " << r.on_vs_off.t_statistic
+       << ", \"spilled_pct\": " << r.spilled_pct << "}"
+       << (i + 1 < spill_rows.size() ? "," : "") << '\n';
+  }
+  os << "  ]\n }\n}\n";
 }
 
 }  // namespace
@@ -176,7 +257,31 @@ int main(int argc, char** argv) {
     table.add_rule();
   }
   std::cout << table.str() << '\n';
-  write_json(out_opt.value, job_count, seeds, rows);
+
+  std::vector<std::uint64_t> spill_seeds;
+  for (std::uint64_t k = 1; k <= (quick_opt.value ? 3u : 20u); ++k)
+    spill_seeds.push_back(k);
+  const std::vector<double> spill_scales =
+      quick_opt.value ? std::vector<double>{1.0}
+                      : std::vector<double>{1.0, 0.9, 0.8, 0.7, 0.6, 0.5};
+  table::Table spill_table({"route (K=4)", "scale", "spill off%", "spill on%",
+                            "dful(pp)", "t", "spilled%"});
+  std::vector<SpillRow> spill_rows;
+  for (const federation::RoutePolicy policy :
+       {federation::RoutePolicy::RoundRobin, federation::RoutePolicy::LeastRisk}) {
+    for (const double scale : spill_scales) {
+      SpillRow row = run_spill(policy, scale, job_count, spill_seeds);
+      spill_table.add_row({row.route, table::num(row.load_scale, 2),
+                           table::pct(row.off_fulfilled_pct),
+                           table::pct(row.on_fulfilled_pct),
+                           table::num(row.on_vs_off.mean_difference, 2),
+                           table::num(row.on_vs_off.t_statistic, 1),
+                           table::pct(row.spilled_pct)});
+      spill_rows.push_back(std::move(row));
+    }
+  }
+  std::cout << spill_table.str() << '\n';
+  write_json(out_opt.value, job_count, seeds, rows, spill_seeds, spill_rows);
   std::cout << "written to " << out_opt.value << '\n';
   return 0;
 }

@@ -1,22 +1,19 @@
-// Saturation figure: what each graceful-degradation mode buys past the
-// load knee.
+// Saturation figure: what DowngradeQoS buys EDF and EDF-BF across the load
+// knee.
 //
 // The λ-sweep compresses the paper workload's inter-arrival gaps
 // (workload::scale_interarrivals — the same transform behind the CLI's
 // --load-scale) so offered load climbs from the paper's operating point
-// into saturation, and runs every core::DegradedMode of the overload
-// catalog (docs/OVERLOAD.md) at each point under LibraRisk admission. At
-// scale 1.0 the modes barely separate — the governor rarely engages — and
-// past the knee the catalog's trade-offs become the figure: ShedTail
-// protects the tail cheaply, RelaxSigma/DowngradeQoS trade lateness risk
-// for admissions, DeferToSalvage rides load dips, and HardReject is the
-// paper's baseline. The sharp-threshold literature (arXiv:0912.3852,
-// arXiv:0707.4600) predicts exactly this phase-transition shape.
+// into saturation. At each point it runs EDF and EDF-BF under hard-reject
+// and under downgrade-qos over the same seeds, and reports the paired
+// fulfilled% difference with its t statistic (stats::compare_paired).
+// These are the only two policies with a bend (docs/OVERLOAD.md); the
+// decisive sweep that retired the other modes is in EXPERIMENTS.md
+// "Saturation and graceful degradation". The federation spill lane is
+// measured by fig_federation, which already builds the 84/252 federation.
 //
-// Results go to BENCH_overload.json (--out overrides); EXPERIMENTS.md
-// "Saturation and graceful degradation" carries the narrative. --quick
-// shrinks the sweep for the bench-smoke ctest label and the CI figure-smoke
-// job.
+// Results go to BENCH_overload.json (--out overrides). --quick shrinks the
+// sweep for the bench-smoke ctest label and the CI figure-smoke job.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -27,6 +24,7 @@
 #include "core/overload.hpp"
 #include "metrics/car.hpp"
 #include "support/cli.hpp"
+#include "support/significance.hpp"
 #include "support/table.hpp"
 #include "workload/synthetic.hpp"
 
@@ -38,23 +36,27 @@ constexpr int kNodes = 128;
 constexpr double kRating = 168.0;
 
 struct Row {
+  std::string policy;
   double load_scale = 1.0;
   std::string mode;
-  std::size_t jobs = 0;
   double fulfilled_pct = 0.0;
   double rejected_pct = 0.0;
   double degraded_pct = 0.0;   ///< degraded admits / submissions
-  double deferred_pct = 0.0;   ///< salvage-lane parks / submissions
-  double shed_tail_pct = 0.0;  ///< ShedTail pre-sheds / submissions
   double activations = 0.0;    ///< governor disengaged->engaged flips
   double car95_slowdown = 0.0; ///< CaR(95%) over completed-job slowdown
   double utilization = 0.0;
   double seconds = 0.0;        ///< wall time per run, averaged over seeds
+  /// Per-seed fulfilled%, the paired comparison's input.
+  std::vector<double> fulfilled_by_seed;
+  /// Paired against the hard-reject row of the same policy and scale (0
+  /// on the hard-reject row itself).
+  stats::PairedComparison vs_hard_reject;
 };
 
-Row run_cell(double load_scale, core::DegradedMode mode, int job_count,
-             const std::vector<std::uint64_t>& seeds) {
+Row run_cell(core::Policy policy, double load_scale, core::DegradedMode mode,
+             int job_count, const std::vector<std::uint64_t>& seeds) {
   Row row;
+  row.policy = std::string(core::to_string(policy));
   row.load_scale = load_scale;
   row.mode = std::string(core::to_string(mode));
   for (const std::uint64_t seed : seeds) {
@@ -66,7 +68,7 @@ Row run_cell(double load_scale, core::DegradedMode mode, int job_count,
     const auto start = std::chrono::steady_clock::now();
     core::EngineConfig config;
     config.cluster = cluster::Cluster::homogeneous(kNodes, kRating);
-    config.policy = core::Policy::LibraRisk;
+    config.policy = policy;
     config.options.overload.mode = mode;
     const std::unique_ptr<core::AdmissionEngine> engine =
         core::make_engine(std::move(config));
@@ -77,15 +79,13 @@ Row run_cell(double load_scale, core::DegradedMode mode, int job_count,
     const metrics::RunSummary s = engine->summary();
     const core::AdmissionStats adm = engine->admission_stats();
     const double submitted = static_cast<double>(s.submitted);
-    row.jobs = s.submitted;
+    row.fulfilled_by_seed.push_back(s.fulfilled_pct);
     row.fulfilled_pct += s.fulfilled_pct;
     row.rejected_pct += 100.0 *
                         static_cast<double>(s.rejected_at_submit +
                                             s.rejected_at_dispatch) /
                         submitted;
     row.degraded_pct += 100.0 * static_cast<double>(adm.degraded_admits) / submitted;
-    row.deferred_pct += 100.0 * static_cast<double>(adm.deferrals) / submitted;
-    row.shed_tail_pct += 100.0 * static_cast<double>(adm.shed_tail) / submitted;
     row.activations += static_cast<double>(adm.overload_activations);
     row.car95_slowdown +=
         metrics::computation_at_risk(engine->collector(),
@@ -100,8 +100,6 @@ Row run_cell(double load_scale, core::DegradedMode mode, int job_count,
   row.fulfilled_pct /= n;
   row.rejected_pct /= n;
   row.degraded_pct /= n;
-  row.deferred_pct /= n;
-  row.shed_tail_pct /= n;
   row.activations /= n;
   row.car95_slowdown /= n;
   row.utilization /= n;
@@ -109,9 +107,9 @@ Row run_cell(double load_scale, core::DegradedMode mode, int job_count,
   return row;
 }
 
-/// Row name for scripts/bench_diff.py matching: "scale0.50/shed-tail".
+/// Row name for scripts/bench_diff.py matching: "EDF/scale0.50/downgrade-qos".
 std::string row_name(const Row& r) {
-  return "scale" + table::num(r.load_scale, 2) + "/" + r.mode;
+  return r.policy + "/scale" + table::num(r.load_scale, 2) + "/" + r.mode;
 }
 
 void write_json(const std::string& path, int job_count,
@@ -122,31 +120,31 @@ void write_json(const std::string& path, int job_count,
      << " \"note\": \"Regenerated by build/bench/fig_saturation; see "
         "EXPERIMENTS.md 'Saturation and graceful degradation' for the "
         "narrative. Paper workload with inter-arrival gaps scaled by "
-        "load_scale (< 1 = hotter), 128 nodes at SPEC 168, LibraRisk "
-        "admission under each overload-catalog mode; means over the listed "
-        "seeds.\",\n"
+        "load_scale (< 1 = hotter), 128 nodes at SPEC 168, EDF and EDF-BF "
+        "under hard-reject and downgrade-qos; means over the listed seeds, "
+        "delta_fulfilled_pp and t paired against the hard-reject row "
+        "(stats::compare_paired).\",\n"
      << " \"context\": {\n"
      << "  \"nodes\": " << kNodes << ",\n"
      << "  \"jobs\": " << job_count << ",\n"
      << "  \"seeds\": [";
   for (std::size_t i = 0; i < seeds.size(); ++i)
     os << seeds[i] << (i + 1 < seeds.size() ? ", " : "");
-  os << "],\n"
-     << "  \"admission_policy\": \"LibraRisk\"\n"
+  os << "]\n"
      << " },\n"
      << " \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    os << "  {\"name\": \"" << row_name(r) << "\", \"load_scale\": "
-       << r.load_scale << ", \"mode\": \"" << r.mode
+    os << "  {\"name\": \"" << row_name(r) << "\", \"policy\": \"" << r.policy
+       << "\", \"load_scale\": " << r.load_scale << ", \"mode\": \"" << r.mode
        << "\", \"fulfilled_pct\": " << r.fulfilled_pct
        << ", \"rejected_pct\": " << r.rejected_pct
        << ", \"degraded_pct\": " << r.degraded_pct
-       << ", \"deferred_pct\": " << r.deferred_pct
-       << ", \"shed_tail_pct\": " << r.shed_tail_pct
        << ", \"activations\": " << r.activations
        << ", \"car95_slowdown\": " << r.car95_slowdown
        << ", \"utilization\": " << r.utilization
+       << ", \"delta_fulfilled_pp\": " << r.vs_hard_reject.mean_difference
+       << ", \"t\": " << r.vs_hard_reject.t_statistic
        << ", \"seconds\": " << r.seconds << "}"
        << (i + 1 < rows.size() ? "," : "") << '\n';
   }
@@ -157,39 +155,50 @@ void write_json(const std::string& path, int job_count,
 
 int main(int argc, char** argv) {
   cli::Parser parser("fig_saturation",
-                     "degraded-mode quality across the load knee");
-  auto& quick_opt =
-      parser.add<bool>("quick", "smoke mode: small trace, one seed", false);
+                     "DowngradeQoS vs hard-reject across the load knee");
+  auto& quick_opt = parser.add<bool>(
+      "quick", "smoke mode: small trace, three seeds, two load scales", false);
   auto& out_opt = parser.add<std::string>("out", "JSON output path",
                                           "BENCH_overload.json");
   parser.parse(argc, argv);
 
   const int job_count = quick_opt.value ? 400 : 2000;
-  const std::vector<std::uint64_t> seeds =
-      quick_opt.value ? std::vector<std::uint64_t>{3}
-                      : std::vector<std::uint64_t>{1, 2, 3};
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t k = 1; k <= (quick_opt.value ? 3u : 20u); ++k)
+    seeds.push_back(k);
   const std::vector<double> load_scales =
-      quick_opt.value ? std::vector<double>{1.0, 0.35}
-                      : std::vector<double>{1.0, 0.6, 0.35, 0.2};
+      quick_opt.value ? std::vector<double>{1.0, 0.5}
+                      : std::vector<double>{1.0, 0.9, 0.8, 0.7, 0.6, 0.5};
 
-  table::Table table({"scale", "mode", "fulfilled%", "rejected%", "degraded%",
-                      "deferred%", "shed-tail%", "activations", "CaR95(slow)",
-                      "util", "sec/run"});
+  table::Table table({"policy", "scale", "mode", "fulfilled%", "rejected%",
+                      "degraded%", "activations", "CaR95(slow)", "util",
+                      "dful(pp)", "t", "sec/run"});
   std::vector<Row> rows;
-  for (const double scale : load_scales) {
-    for (const core::ModeSpec& entry : core::kOverloadCatalog) {
-      Row row = run_cell(scale, entry.mode, job_count, seeds);
-      table.add_row({table::num(row.load_scale, 2), row.mode,
-                     table::pct(row.fulfilled_pct),
-                     table::pct(row.rejected_pct),
-                     table::pct(row.degraded_pct),
-                     table::pct(row.deferred_pct),
-                     table::pct(row.shed_tail_pct),
-                     table::num(row.activations, 1),
-                     table::num(row.car95_slowdown, 2),
-                     table::num(row.utilization, 3),
-                     table::num(row.seconds, 3)});
-      rows.push_back(std::move(row));
+  const auto add_row = [&table](const Row& row, bool paired) {
+    table.add_row({row.policy, table::num(row.load_scale, 2), row.mode,
+                   table::pct(row.fulfilled_pct), table::pct(row.rejected_pct),
+                   table::pct(row.degraded_pct), table::num(row.activations, 1),
+                   table::num(row.car95_slowdown, 2),
+                   table::num(row.utilization, 3),
+                   paired ? table::num(row.vs_hard_reject.mean_difference, 2)
+                          : std::string("-"),
+                   paired ? table::num(row.vs_hard_reject.t_statistic, 1)
+                          : std::string("-"),
+                   table::num(row.seconds, 3)});
+  };
+  for (const core::Policy policy :
+       {core::Policy::Edf, core::Policy::EdfBackfill}) {
+    for (const double scale : load_scales) {
+      Row base = run_cell(policy, scale, core::DegradedMode::HardReject,
+                          job_count, seeds);
+      Row bent = run_cell(policy, scale, core::DegradedMode::DowngradeQoS,
+                          job_count, seeds);
+      bent.vs_hard_reject = stats::compare_paired(bent.fulfilled_by_seed,
+                                                  base.fulfilled_by_seed);
+      add_row(base, false);
+      add_row(bent, true);
+      rows.push_back(std::move(base));
+      rows.push_back(std::move(bent));
     }
     table.add_rule();
   }

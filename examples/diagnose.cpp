@@ -7,14 +7,20 @@
 // victims column — rather than just that it does.
 //
 //   $ diagnose --inaccuracy 100 --work-conserving
+//
+// A bad flag value prints one "error:" line and exits 2.
 #include <iostream>
+#include <stdexcept>
 
 #include "core/overload.hpp"
 #include "exp/scenario.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
+#include "workload/synthetic.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int diagnose(int argc, char** argv) {
   using namespace librisk;
 
   cli::Parser parser("diagnose", "Late/rejected-job breakdown per policy");
@@ -27,13 +33,13 @@ int main(int argc, char** argv) {
                                      "equal-share execution instead of proportional pacing", false);
   auto& hu_opt = parser.add<double>("high-urgency", "high-urgency fraction", 0.20);
   auto& overload_opt = parser.add<std::string>(
-      "overload-mode",
-      "graceful-degradation mode: hard-reject | shed-tail | relax-sigma | "
-      "defer-to-salvage | downgrade-qos",
+      "overload-mode", "overload mode: hard-reject | downgrade-qos",
       "hard-reject");
   auto& load_scale_opt = parser.add<double>(
       "load-scale", "inter-arrival gap factor (< 1 raises offered load)", 1.0);
   parser.parse(argc, argv);
+  if (!(load_scale_opt.value > 0.0))
+    throw cli::ParseError("--load-scale must be > 0");
 
   exp::Scenario base;
   base.workload.trace.job_count = static_cast<std::size_t>(jobs_opt.value);
@@ -45,29 +51,33 @@ int main(int argc, char** argv) {
                                       : cluster::ExecutionMode::ProportionalPacing;
   if (equal_opt.value)
     base.options.risk.prediction = core::RiskConfig::Prediction::ProcessorSharing;
-  base.options.overload.mode = core::parse_degraded_mode(overload_opt.value);
+  try {
+    base.options.overload.mode = core::parse_degraded_mode(overload_opt.value);
+  } catch (const std::invalid_argument& e) {
+    throw cli::ParseError(e.what());
+  }
   base.seed = seed_opt.value;
+  std::vector<workload::Job> jobs =
+      workload::make_paper_workload(base.workload, base.seed);
   if (load_scale_opt.value != 1.0)
-    base.workload.trace.arrival_delay_factor *= load_scale_opt.value;
+    workload::scale_interarrivals(jobs, load_scale_opt.value);
 
   table::Table t({"policy", "fulfilled %", "slowdown", "rejected", "rej(share)",
                   "rej(sigma)", "rej(deadline)", "rej(no-node)", "degraded",
-                  "deferred", "near5%",
-                  "near10%", "late(under-est)", "late(victims)",
+                  "near5%", "near10%", "late(under-est)", "late(victims)",
                   "ful(under-est)", "doomable", "scans/job", "skips", "batched",
                   "bound-skip", "recomp/settle", "kern-skip%", "views/job"});
   for (const core::Policy policy : core::all_policies()) {
     exp::Scenario scenario = base;
     scenario.policy = policy;
-    const exp::ScenarioResult r = exp::run_scenario(scenario);
+    const exp::ScenarioResult r = exp::run_jobs(scenario, jobs);
 
     std::size_t late_under = 0, late_victim = 0, ful_under = 0, under_total = 0;
     std::size_t rejected = 0;
-    // The overload variants are their own columns — a DegradedAdmit is not
-    // a plain accept (it rode a licensed bend) and a Deferred is not a
-    // reject (its fate resolved later); folding either would misattribute
-    // exactly the jobs this breakdown exists to explain.
-    std::size_t degraded = 0, deferred = 0;
+    // A DegradedAdmit is its own column, not a plain accept (it rode the
+    // DowngradeQoS bend); folding it would misattribute exactly the jobs
+    // this breakdown exists to explain.
+    std::size_t degraded = 0;
     // Rejection attribution from the per-job outcome reasons (the typed
     // AdmissionOutcome surface), which every policy fills alike.
     std::size_t rej_share = 0, rej_sigma = 0, rej_deadline = 0, rej_node = 0;
@@ -75,8 +85,6 @@ int main(int argc, char** argv) {
       if (o.underestimated) ++under_total;
       if (o.verdict == core::AdmissionOutcome::Verdict::DegradedAdmit)
         ++degraded;
-      else if (o.verdict == core::AdmissionOutcome::Verdict::Deferred)
-        ++deferred;
       switch (o.fate) {
         case metrics::JobFate::RejectedAtSubmit:
         case metrics::JobFate::RejectedAtDispatch:
@@ -114,7 +122,6 @@ int main(int argc, char** argv) {
                std::to_string(rej_deadline),
                std::to_string(rej_node),
                std::to_string(degraded),
-               std::to_string(deferred),
                // Near-miss rejections: within 5%/10% of flipping the
                // decisive test (conservative undercount when the batch
                // spread bound skipped exact sigmas).
@@ -140,4 +147,18 @@ int main(int argc, char** argv) {
             << (wc_opt.value ? "on" : "off") << ":\n"
             << t.str();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return diagnose(argc, argv);
+  } catch (const librisk::cli::ParseError& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 2;
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
 }

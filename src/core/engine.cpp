@@ -12,7 +12,6 @@ const char* to_string(AdmissionOutcome::Verdict verdict) noexcept {
     case AdmissionOutcome::Verdict::Queued: return "queued";
     case AdmissionOutcome::Verdict::Rejected: return "rejected";
     case AdmissionOutcome::Verdict::DegradedAdmit: return "degraded_admit";
-    case AdmissionOutcome::Verdict::Deferred: return "deferred";
   }
   return "?";
 }
@@ -147,20 +146,15 @@ AdmissionOutcome AdmissionEngine::outcome_of(std::int64_t job_id) const {
   }
   // The placement note is only trustworthy for the job just decided:
   // policies overwrite it per admission, and queueing policies never
-  // write it at all — the id guard covers both. It also carries the
-  // overload-catalog marks: a degraded admission upgrades Accepted to
-  // DegradedAdmit, and a salvage-parked job (Pending, not started, no
-  // verdict yet) reports as Deferred instead of Queued.
+  // write it at all — the id guard covers both. A degraded admission
+  // upgrades Accepted to DegradedAdmit.
   const Scheduler::Decision& d = scheduler_.last_decision();
-  if (d.job_id == job_id) {
-    if (out.verdict == AdmissionOutcome::Verdict::Accepted) {
-      out.node = d.node;
-      out.sigma = d.sigma;
-      out.margin = d.margin;
-      if (d.degraded) out.verdict = AdmissionOutcome::Verdict::DegradedAdmit;
-    } else if (out.verdict == AdmissionOutcome::Verdict::Queued && d.deferred) {
-      out.verdict = AdmissionOutcome::Verdict::Deferred;
-    }
+  if (d.job_id == job_id &&
+      out.verdict == AdmissionOutcome::Verdict::Accepted) {
+    out.node = d.node;
+    out.sigma = d.sigma;
+    out.margin = d.margin;
+    if (d.degraded) out.verdict = AdmissionOutcome::Verdict::DegradedAdmit;
   }
   return out;
 }

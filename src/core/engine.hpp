@@ -58,10 +58,9 @@ struct AdmissionOutcome {
     Accepted,      ///< started execution at its arrival instant
     Queued,        ///< admitted to a wait queue; fate still pending
     Rejected,      ///< shed at submit or at dispatch within the arrival step
-    /// Overload-catalog variants (core/overload.hpp); only produced when a
-    /// degraded mode other than HardReject is configured.
-    DegradedAdmit, ///< failed the normal test; a licensed degraded mode admitted it
-    Deferred,      ///< parked by DeferToSalvage; a salvage retry is scheduled
+    /// Only produced under DowngradeQoS (core/overload.hpp): the job failed
+    /// the normal test and the relaxed deadline admitted it.
+    DegradedAdmit,
   };
 
   std::int64_t job_id = -1;
@@ -85,7 +84,6 @@ struct AdmissionOutcome {
     return verdict == Verdict::Accepted || verdict == Verdict::DegradedAdmit;
   }
   [[nodiscard]] bool rejected() const noexcept { return verdict == Verdict::Rejected; }
-  [[nodiscard]] bool deferred() const noexcept { return verdict == Verdict::Deferred; }
 };
 
 [[nodiscard]] const char* to_string(AdmissionOutcome::Verdict verdict) noexcept;

@@ -106,7 +106,6 @@ LibraConfig libra_family_config(Policy policy, const PolicyOptions& options) {
   config.risk.sigma_threshold = options.risk.sigma_threshold;
   config.risk.rule = options.risk.rule;
   if (options.selection_override) config.selection = *options.selection_override;
-  config.overload = options.overload;
   return config;
 }
 
@@ -131,9 +130,8 @@ std::unique_ptr<SchedulerStack> make_scheduler(Policy policy,
                                                Collector& collector,
                                                const PolicyOptions& options) {
   const std::string name(to_string(policy));
-  // The catalog self-audit runs once per stack: a malformed catalog (or a
-  // nonsensical config) fails construction instead of misbehaving mid-run.
-  audit_catalog();
+  // A nonsensical overload config fails construction for every policy, not
+  // just the two that consult it.
   options.overload.validate();
   const cluster::SpaceSharedConfig space_config{
       .kill_at_estimate = options.share_model.kill_at_estimate};

@@ -46,13 +46,11 @@ struct PolicyOptions {
   std::optional<LibraConfig::Selection> selection_override;
   /// QoPS slack factor (>= 1; 1 = hard deadlines at admission).
   double qops_slack_factor = 1.0;
-  /// Graceful-degradation catalog entry (core/overload.hpp). The default
-  /// (HardReject) reproduces today's behavior exactly — byte-identical
-  /// traces; any other mode bends the named shortfall sites while the
-  /// configured load threshold is exceeded. Consulted by the Libra family
-  /// and by the dispatch-time deadline test of EDF and EDF-BF; EDF-NoAC,
-  /// FCFS, EASY and QoPS have no shortfall site to bend and treat every
-  /// mode as HardReject (docs/OVERLOAD.md, support matrix).
+  /// Overload mode (core/overload.hpp). The default (HardReject) is the
+  /// paper's behavior; DowngradeQoS bends only the dispatch-time deadline
+  /// test of EDF and EDF-BF while the configured load threshold is
+  /// exceeded. Every other policy decides under it exactly as under
+  /// HardReject (docs/OVERLOAD.md, decision table).
   OverloadConfig overload;
   /// Optional observation hooks (decision-audit recorder + live telemetry),
   /// attached as one value to both the scheduler and its executor — the

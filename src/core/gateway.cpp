@@ -44,8 +44,12 @@ AdmissionGateway::AdmissionGateway(GatewayConfig config)
     case Policy::EdfBackfill:
       // deadline_feasible() at the earliest possible `now` (the submit
       // instant) with the fastest node; the factory always turns the
-      // dispatch-time deadline test on for these two.
-      model_.deadline_test = true;
+      // dispatch-time deadline test on for these two. DowngradeQoS re-tests
+      // that shortfall against an extended deadline, which breaks the
+      // certificate's "no now implies no later" premise, so only
+      // HardReject keeps it.
+      model_.deadline_test =
+          config_.engine.options.overload.mode == DegradedMode::HardReject;
       model_.slack_factor = 1.0;
       break;
     case Policy::Qops:
@@ -59,21 +63,6 @@ AdmissionGateway::AdmissionGateway(GatewayConfig config)
     case Policy::Fcfs:       // no sound C2 certificate exists; C1 only.
     case Policy::Easy:
       break;
-  }
-  // Overload-catalog gating (core/overload.hpp): the C2 certificates rest
-  // on "no now implies no later" monotonicity of the *normal* admission
-  // test. A mode licensed to bend a shortfall site breaks that implication
-  // — DowngradeQoS re-tests against an extended deadline (both C2
-  // expressions), and the salvage/relax lanes re-decide under bent terms —
-  // so those modes drop the gate to C1 (structural) only. ShedTail never
-  // admits more than HardReject, so every certificate stays sound under it.
-  // The rule is deliberately coarse: disabling a certificate only reduces
-  // shedding, never correctness.
-  const DegradedMode degraded_mode = config_.engine.options.overload.mode;
-  if (degraded_mode != DegradedMode::HardReject &&
-      degraded_mode != DegradedMode::ShedTail) {
-    model_.share_test = false;
-    model_.deadline_test = false;
   }
   const double budget = config_.aggregate_headroom * cluster.total_speed_factor() *
                         static_cast<double>(config_.granularity);
@@ -157,13 +146,10 @@ AdmissionGateway::AdmissionGateway(GatewayConfig config)
         "gateway_degraded_admits",
         "engine decisions that were degraded-mode admissions",
         [this] { return degraded_admits_.load(std::memory_order_relaxed); });
-    reg.counter_fn(
-        "gateway_deferred", "engine decisions parked by the salvage lane",
-        [this] { return deferred_.load(std::memory_order_relaxed); });
     reg.gauge_fn("gateway_overload_mode",
-                 "configured degraded mode (catalog index; 0 = hard-reject)",
-                 [degraded_mode] {
-                   return static_cast<double>(degraded_mode);
+                 "configured degraded mode (wire value; 0 = hard-reject)",
+                 [mode = config_.engine.options.overload.mode] {
+                   return static_cast<double>(mode);
                  });
     if (config_.flight_capacity > 0) {
       // Registry-owned sinks the flight histograms merge into at close():
@@ -343,8 +329,6 @@ void AdmissionGateway::drive() {
       decided_.fetch_add(1, std::memory_order_relaxed);
       if (outcome.verdict == AdmissionOutcome::Verdict::DegradedAdmit)
         degraded_admits_.fetch_add(1, std::memory_order_relaxed);
-      else if (outcome.deferred())
-        deferred_.fetch_add(1, std::memory_order_relaxed);
       if (item.pre_shed && !outcome.rejected()) {
         if (outcome.accepted()) {
           // Started at its arrival instant: the certificate is plainly wrong.
@@ -379,7 +363,6 @@ void AdmissionGateway::drive() {
             item.pre_shed ? obs::FlightVerdict::Shed
             : outcome.verdict == AdmissionOutcome::Verdict::DegradedAdmit
                 ? obs::FlightVerdict::DegradedAdmit
-            : outcome.deferred() ? obs::FlightVerdict::Deferred
             : outcome.accepted() ? obs::FlightVerdict::Accepted
             : outcome.rejected() ? obs::FlightVerdict::Rejected
                                  : obs::FlightVerdict::Queued;
@@ -454,7 +437,6 @@ GatewayStats AdmissionGateway::stats() const {
   s.shed_spikes = spike_events_.load(std::memory_order_relaxed);
   s.flight_recorded = flight_.recorded();
   s.degraded_admits = degraded_admits_.load(std::memory_order_relaxed);
-  s.deferred = deferred_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -17,7 +17,9 @@
 //        C2-deadline (EDF, EDF-backfill, QoPS)
 //                           best-case runtime on the fastest node misses
 //                           the (slack-scaled) deadline — the dispatch-time
-//                           feasibility test only sees later `now`s.
+//                           feasibility test only sees later `now`s. EDF
+//                           and EDF-backfill keep it under HardReject only:
+//                           DowngradeQoS re-tests against a later deadline.
 //      Policies whose admission test is state-dependent in both directions
 //      (LibraRisk's sigma-only salvage lane admits anything on an empty
 //      node) get no C2 certificate: the conservative gateway never sheds a
@@ -139,12 +141,10 @@ struct GatewayStats {
   std::uint64_t shed_aggregate = 0;         ///< C3 (Aggressive mode only)
   std::uint64_t shed_spikes = 0;   ///< spike-threshold crossings observed
   std::uint64_t flight_recorded = 0;  ///< decisions offered to the recorder
-  /// Overload-catalog occupancy (core/overload.hpp): engine decisions that
-  /// came back as degraded admissions / salvage deferrals. Both 0 under
-  /// HardReject. A degraded admit is also counted in the engine's accepted
-  /// totals — these attribute, they do not add.
+  /// Engine decisions that came back as DowngradeQoS admissions
+  /// (core/overload.hpp); 0 under HardReject. Also counted in the engine's
+  /// accepted totals — this attributes, it does not add.
   std::uint64_t degraded_admits = 0;
-  std::uint64_t deferred = 0;
 };
 
 class AdmissionGateway {
@@ -265,9 +265,8 @@ class AdmissionGateway {
   std::atomic<std::uint64_t> shed_share_{0};
   std::atomic<std::uint64_t> shed_deadline_{0};
   std::atomic<std::uint64_t> shed_aggregate_{0};
-  // Overload-catalog outcome attribution (drive-thread writes, any reader).
+  // Degraded-admit attribution (drive-thread writes, any reader).
   std::atomic<std::uint64_t> degraded_admits_{0};
-  std::atomic<std::uint64_t> deferred_{0};
 
   /// Decision flight recorder; drive thread writes, any thread snapshots.
   obs::FlightRecorder flight_;

@@ -56,30 +56,13 @@ LibraScheduler::LibraScheduler(sim::Simulator& simulator,
             ? cluster::kStateSharesRaw
             : cluster::kStateSharesCurrent;
   }
-  // Overload-catalog governor (core/overload.hpp). Under the default
-  // HardReject mode overload_enabled_ stays false and every consult site
-  // below reduces to a dead branch — the byte-identity guarantee.
-  governor_ = OverloadGovernor(config_.overload);
-  overload_enabled_ = governor_.enabled();
-  max_speed_ = 0.0;
-  for (cluster::NodeId n = 0; n < executor_.cluster().size(); ++n)
-    max_speed_ = std::max(max_speed_, executor_.cluster().speed_factor(n));
-  if (max_speed_ <= 0.0) max_speed_ = 1.0;
   executor_.set_completion_handler(
       [this](const Job& job, sim::SimTime finish) {
         if (response_hist_ != nullptr)
           response_hist_->record(finish - job.submit_time);
-        if (overload_enabled_) {
-          resolve_overload(job, finish, /*killed=*/false);
-          return;
-        }
         collector_.record_completed(job, finish);
       });
   executor_.set_kill_handler([this](const Job& job, sim::SimTime when) {
-    if (overload_enabled_) {
-      resolve_overload(job, when, /*killed=*/true);
-      return;
-    }
     collector_.record_killed(job, when);
   });
 }
@@ -220,16 +203,6 @@ void LibraScheduler::on_telemetry(obs::Telemetry& telemetry) {
   reg.counter_fn("admission_near_miss_10pct",
                  "rejections within 10% margin of the decisive test",
                  [this] { return stats_.near_miss_10(); });
-  reg.counter_fn("admission_degraded_admits",
-                 "admissions via a degraded-mode bend",
-                 [this] { return stats_.degraded_admits; });
-  reg.counter_fn("admission_deferrals", "DeferToSalvage park events",
-                 [this] { return stats_.deferrals; });
-  reg.counter_fn("admission_shed_tail", "ShedTail pre-rejections",
-                 [this] { return stats_.shed_tail; });
-  reg.counter_fn("overload_activations",
-                 "governor flips into degraded operation",
-                 [this] { return stats_.overload_activations; });
 
   obs::HistogramConfig scan_cfg;
   scan_cfg.min_value = 1.0;
@@ -340,9 +313,6 @@ double LibraScheduler::reject_job_margin(const Job& job, int suitable_count) {
 
 void LibraScheduler::on_job_submitted(const Job& job) {
   obs::ScopedPhase phase(profiler_, obs::Phase::Admission);
-  // The recorder arrives via attach() after construction, so the governor
-  // borrows it lazily (cheap pointer store, degraded modes only).
-  if (overload_enabled_) governor_.attach(trace_);
   submit(job);
 }
 
@@ -366,10 +336,6 @@ void LibraScheduler::submit(const Job& job) {
       explain_->finish_reject(trace::RejectionReason::NoSuitableNode, 0, 0.0);
     return;
   }
-  // Overload consult #1: the per-submission governor pulse plus ShedTail's
-  // pre-scan rejection (runs after the structural check — no mode may admit
-  // a structurally infeasible job, so none may shed before that test ran).
-  if (overload_enabled_ && shed_or_pulse(job, now)) return;
   executor_.sync();
 
   suitable_.clear();
@@ -421,10 +387,6 @@ void LibraScheduler::submit(const Job& job) {
         static_cast<double>(stats_.nodes_scanned - scanned_before));
 
   if (static_cast<int>(suitable_.size()) < job.num_procs) {
-    // Overload consult #2: the shortfall site. An engaged degraded mode may
-    // admit (relaxed re-scan / QoS downgrade) or park (salvage deferral) the
-    // job instead; on false the normal rejection below stands.
-    if (overload_enabled_ && try_degraded(job, now)) return;
     ++stats_.rejections;
     if (config_.admission == LibraConfig::Admission::TotalShare)
       ++stats_.rejected_share_overflow;
@@ -465,7 +427,6 @@ void LibraScheduler::submit(const Job& job) {
   if (explaining)
     explain_->finish_accept(suitable_[0].node, margin,
                             static_cast<int>(suitable_.size()));
-  if (overload_enabled_) track_inflight(job, chosen);
   collector_.record_started(job, now, job.actual_runtime / slowest);
   executor_.start(job, std::move(chosen));
 }
@@ -568,269 +529,6 @@ void LibraScheduler::scan_zero_risk_batched(const Job& job, sim::SimTime now,
     next = end;
     chunk = std::min(chunk * 2, kBatchChunkMax);
   }
-}
-
-// ---- overload-catalog consult sites (core/overload.hpp) ----
-//
-// Nothing below is reachable under HardReject (overload_enabled_ guards
-// every entry), so the default configuration cannot touch this state.
-
-bool LibraScheduler::shed_or_pulse(const Job& job, sim::SimTime now) {
-  const bool engaged = governor_.evaluate(now, load_signal());
-  stats_.overload_activations = governor_.activations();
-  if (!engaged || governor_.config().mode != DegradedMode::ShedTail)
-    return false;
-  // The cheapest placement the job could possibly get is its share on the
-  // fastest node; if even that exceeds tail_share the job is in the shed
-  // tail. Using the lower bound keeps the shed test node-independent (a
-  // pure function of the job and the engaged config — determinism lemma).
-  const double cheapest = cluster::required_share(
-      job.scheduler_estimate, job.deadline, executor_.config().deadline_clamp,
-      max_speed_);
-  if (cheapest <= governor_.config().tail_share) return false;
-  // A shed is a full-fledged rejection: per-reason counters, collector
-  // record, trace event (kForbidDropWithoutAccount). It reads as a share
-  // rejection with the shed_tail sub-counter carrying the provenance.
-  ++stats_.rejections;
-  ++stats_.rejected_share_overflow;
-  ++stats_.shed_tail;
-  collector_.record_rejected(job, now, /*at_dispatch=*/false,
-                             trace::RejectionReason::ShareOverflow);
-  if (trace_ != nullptr)
-    trace_->job_rejected(now, job.id, trace::RejectionReason::ShareOverflow, 0,
-                         job.num_procs);
-  if (explain_ != nullptr)
-    explain_->finish_reject(trace::RejectionReason::ShareOverflow, 0, 0.0);
-  LIBRISK_LOG(Debug) << name_ << ": shed job " << job.id
-                     << " (tail share bound " << governor_.config().tail_share
-                     << ")";
-  return true;
-}
-
-bool LibraScheduler::try_degraded(const Job& job, sim::SimTime now) {
-  if (!governor_.engaged()) return false;
-  const OverloadConfig& oc = governor_.config();
-  switch (oc.mode) {
-    case DegradedMode::HardReject:
-    case DegradedMode::ShedTail:
-      // Neither holds a shortfall license (ShedTail only pre-rejects).
-      return false;
-    case DegradedMode::RelaxSigma:
-      static_assert(mode_allows(DegradedMode::RelaxSigma, kForbidRelaxedRisk));
-      // The license is sigma-specific: TotalShare admission has no sigma
-      // test to relax, so Libra under RelaxSigma degenerates to HardReject.
-      if (config_.admission != LibraConfig::Admission::ZeroRisk) return false;
-      return rescan_and_admit(job, now,
-                              config_.risk.sigma_threshold + oc.relax_sigma,
-                              job.deadline, trace::RejectionReason::RiskSigma);
-    case DegradedMode::DeferToSalvage:
-      static_assert(
-          mode_allows(DegradedMode::DeferToSalvage, kForbidDelayedDecision));
-      defer_job(job, now);
-      return true;
-    case DegradedMode::DowngradeQoS:
-      static_assert(
-          mode_allows(DegradedMode::DowngradeQoS, kForbidDeadlineRewrite));
-      return rescan_and_admit(job, now, config_.risk.sigma_threshold,
-                              job.deadline * oc.downgrade_factor,
-                              scan_reason());
-  }
-  return false;
-}
-
-bool LibraScheduler::rescan_and_admit(const Job& job, sim::SimTime now,
-                                      double sigma_threshold, double deadline,
-                                      trace::RejectionReason bent) {
-  // Probe with the (possibly) rewritten deadline; the sigma threshold is
-  // bent by a save/restore on the live config so the re-scan runs the exact
-  // production arithmetic (node_suitable) instead of a parallel
-  // implementation that could drift.
-  Job probe = job;
-  probe.deadline = deadline;
-  const double saved_threshold = config_.risk.sigma_threshold;
-  config_.risk.sigma_threshold = sigma_threshold;
-  const int cluster_size = executor_.cluster().size();
-  // The re-scan builds into fail_deficit_'s sibling scratch — NOT suitable_,
-  // which still holds the normal scan's candidates and feeds the rejection
-  // accounting (suitable count, near-miss margins) if this bend fails.
-  rescan_suitable_.clear();
-  for (cluster::NodeId n = 0; n < cluster_size; ++n) {
-    ++stats_.nodes_scanned;
-    double fit = 0.0;
-    double sigma = -1.0;
-    bool ok = node_suitable(n, probe, fit, &sigma);
-    // kForbidAdmitPastEq2: whatever the bend, no candidate may be admitted
-    // past the Eq. 2 total-share capacity. The sigma-only rule does not
-    // test this bound itself, so the catalog guard enforces it here.
-    if (ok && fit > config_.capacity + config_.tolerance) ok = false;
-    if (ok) rescan_suitable_.push_back(Candidate{n, fit, sigma});
-  }
-  config_.risk.sigma_threshold = saved_threshold;
-  if (static_cast<int>(rescan_suitable_.size()) < job.num_procs) return false;
-  suitable_.swap(rescan_suitable_);
-  select_prefix(job.num_procs);
-  if (deadline != job.deadline) {
-    // DowngradeQoS: the executor borrows Job pointers until completion, so
-    // the deadline-extended copy needs scheduler-owned stable storage; the
-    // completion/kill handler restores the submitted deadline before the
-    // collector judges lateness (resolve_overload).
-    const auto [it, inserted] =
-        downgraded_.try_emplace(job.id, DowngradedJob{probe, job.deadline});
-    LIBRISK_CHECK(inserted, "job " << job.id << " downgraded twice");
-    degraded_admit_prepared(job, it->second.job, now, bent);
-  } else {
-    degraded_admit_prepared(job, job, now, bent);
-  }
-  return true;
-}
-
-void LibraScheduler::degraded_admit_prepared(const Job& job, const Job& run,
-                                             sim::SimTime now,
-                                             trace::RejectionReason bent) {
-  std::vector<cluster::NodeId> chosen;
-  chosen.reserve(job.num_procs);
-  double slowest = sim::kTimeInfinity;
-  for (int i = 0; i < job.num_procs; ++i) {
-    chosen.push_back(suitable_[i].node);
-    slowest =
-        std::min(slowest, executor_.cluster().speed_factor(suitable_[i].node));
-  }
-  ++stats_.accepted;
-  ++stats_.degraded_admits;
-  const double margin = node_margin(suitable_[0].fit, suitable_[0].sigma);
-  note_decision(job.id, suitable_[0].node, suitable_[0].sigma, margin,
-                /*degraded=*/true);
-  if (trace_ != nullptr)
-    trace_->job_degraded_admit(now, job.id, bent, suitable_[0].node,
-                               suitable_[0].sigma, suitable_[0].fit, margin);
-  if (explain_ != nullptr)
-    explain_->finish_accept(suitable_[0].node, margin,
-                            static_cast<int>(suitable_.size()));
-  // `run` carries the deadline the executor paces against; its share is the
-  // one the cluster actually bears, so it feeds the load signal.
-  track_inflight(run, chosen);
-  collector_.record_started(job, now, job.actual_runtime / slowest);
-  executor_.start(run, std::move(chosen));
-  LIBRISK_LOG(Debug) << name_ << ": degraded-admitted job " << job.id
-                     << " (bent " << trace::to_string(bent) << ")";
-}
-
-void LibraScheduler::defer_job(const Job& job, sim::SimTime now) {
-  // First park inserts; a re-park finds the entry and bumps the count. The
-  // parked pointer targets the engine slab, which keeps a Pending job's
-  // storage alive until it resolves — the same contract EDF's queue uses.
-  const auto [it, inserted] = parked_.try_emplace(job.id, Parked{&job, 0});
-  const int deferral = ++it->second.deferrals;
-  ++stats_.deferrals;
-  const sim::SimTime retry = now + governor_.config().defer_delay;
-  note_deferred(job.id);
-  if (trace_ != nullptr)
-    trace_->job_deferred(now, job.id, scan_reason(), retry, deferral);
-  const std::int64_t id = job.id;
-  sim_.at(retry, sim::EventPriority::Arrival,
-          [this, id] { retry_deferred(id); });
-  LIBRISK_LOG(Debug) << name_ << ": deferred job " << job.id << " until "
-                     << retry << " (deferral " << deferral << ")";
-}
-
-void LibraScheduler::retry_deferred(std::int64_t job_id) {
-  const auto it = parked_.find(job_id);
-  LIBRISK_CHECK(it != parked_.end(),
-                "salvage retry for job " << job_id << " that is not parked");
-  const Job& job = *it->second.job;
-  const int deferrals = it->second.deferrals;
-  const sim::SimTime now = sim_.now();
-  obs::ScopedPhase phase(profiler_, obs::Phase::Admission);
-  executor_.sync();
-  // The retry re-runs the NORMAL test at full strictness — DeferToSalvage
-  // is licensed to delay the decision (kForbidDelayedDecision cleared), not
-  // to bend risk or deadline. Not a new submission: the submissions counter
-  // already saw this job, so submissions == accepted + rejections holds at
-  // the end (scan-effort counters do tick — the scan really ran).
-  const int cluster_size = executor_.cluster().size();
-  const bool share_mode =
-      config_.admission == LibraConfig::Admission::TotalShare;
-  suitable_.clear();
-  scan_metric_.resize(static_cast<std::size_t>(cluster_size));
-  for (cluster::NodeId n = 0; n < cluster_size; ++n) {
-    ++stats_.nodes_scanned;
-    double fit = 0.0;
-    double sigma = -1.0;
-    const bool ok = node_suitable(n, job, fit, &sigma);
-    scan_metric_[static_cast<std::size_t>(n)] = share_mode ? fit : sigma;
-    if (ok) suitable_.push_back(Candidate{n, fit, sigma});
-  }
-  if (static_cast<int>(suitable_.size()) >= job.num_procs) {
-    select_prefix(job.num_procs);
-    parked_.erase(it);  // the Job itself lives in the engine slab
-    degraded_admit_prepared(job, job, now, scan_reason());
-    return;
-  }
-  // Still short: re-park while the mode is engaged and the retry budget
-  // lasts, otherwise this becomes the final, dispatch-time rejection.
-  governor_.evaluate(now, load_signal());
-  stats_.overload_activations = governor_.activations();
-  if (governor_.engaged() && deferrals < governor_.config().max_deferrals) {
-    defer_job(job, now);
-    return;
-  }
-  parked_.erase(it);
-  ++stats_.rejections;
-  if (share_mode)
-    ++stats_.rejected_share_overflow;
-  else
-    ++stats_.rejected_risk_sigma;
-  const double margin =
-      reject_job_margin(job, static_cast<int>(suitable_.size()));
-  collector_.record_rejected(job, now, /*at_dispatch=*/true, scan_reason());
-  if (trace_ != nullptr)
-    trace_->job_rejected(now, job.id, scan_reason(),
-                         static_cast<int>(suitable_.size()), job.num_procs,
-                         margin);
-  LIBRISK_LOG(Debug) << name_ << ": salvage-rejected job " << job.id << " ("
-                     << suitable_.size() << '/' << job.num_procs
-                     << " suitable nodes after " << deferrals << " deferrals)";
-}
-
-void LibraScheduler::track_inflight(const Job& job,
-                                    const std::vector<cluster::NodeId>& nodes) {
-  double total = 0.0;
-  for (const cluster::NodeId n : nodes) total += new_job_share(job, n);
-  inflight_share_ += total;
-  inflight_contrib_.emplace(job.id, total);
-}
-
-void LibraScheduler::release_inflight(std::int64_t job_id) {
-  const auto it = inflight_contrib_.find(job_id);
-  if (it == inflight_contrib_.end()) return;
-  inflight_share_ -= it->second;
-  // Floating-point dust must not leave a phantom load behind an idle run.
-  if (inflight_share_ < 1e-12) inflight_share_ = 0.0;
-  inflight_contrib_.erase(it);
-}
-
-void LibraScheduler::resolve_overload(const Job& job, sim::SimTime when,
-                                      bool killed) {
-  release_inflight(job.id);
-  const auto it = downgraded_.find(job.id);
-  if (it == downgraded_.end()) {
-    if (killed)
-      collector_.record_killed(job, when);
-    else
-      collector_.record_completed(job, when);
-    return;
-  }
-  // `job` aliases the map-owned degraded copy (the executor borrowed its
-  // pointer). Restore the submitted deadline so the collector judges
-  // lateness against the real QoS — the downgrade bought admission, not a
-  // free pass on the fulfilled metric — then erase the entry last: the
-  // alias dies with it.
-  it->second.job.deadline = it->second.original_deadline;
-  if (killed)
-    collector_.record_killed(it->second.job, when);
-  else
-    collector_.record_completed(it->second.job, when);
-  downgraded_.erase(it);
 }
 
 }  // namespace librisk::core

@@ -23,10 +23,8 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 
 #include "cluster/timeshared.hpp"
-#include "core/overload.hpp"
 #include "core/risk.hpp"
 #include "core/scheduler.hpp"
 
@@ -49,11 +47,6 @@ struct LibraConfig {
   RiskConfig risk;
   /// Numeric tolerance on the capacity test.
   double tolerance = 1e-9;
-  /// Graceful-degradation catalog entry (core/overload.hpp). HardReject —
-  /// the default — reproduces the paper's behavior exactly; other modes
-  /// bend the shortfall path while the load threshold is exceeded.
-  /// Degraded re-scans run the normal scan's node_suitable arithmetic.
-  OverloadConfig overload;
 
   /// The paper's Libra: total-share admission, best-fit, raw estimates.
   static LibraConfig libra();
@@ -113,12 +106,12 @@ class LibraScheduler final : public Scheduler {
                ? config_.capacity - fit
                : config_.risk.sigma_threshold - sigma;
   }
-  /// Shortfall-rejection bookkeeping shared by the submission and salvage
-  /// retry paths: rebuilds the failing-node deficits from scan_metric_,
-  /// takes the k-th smallest (k = num_procs - suitable_count — the smallest
-  /// improvement that would have admitted), feeds the near-miss counters,
-  /// and returns the job margin (-deficit; 0.0 when unquantifiable). Reject
-  /// path only, so the scan loops stay store-only.
+  /// Shortfall-rejection bookkeeping: rebuilds the failing-node deficits
+  /// from scan_metric_, takes the k-th smallest (k = num_procs -
+  /// suitable_count — the smallest improvement that would have admitted),
+  /// feeds the near-miss counters, and returns the job margin (-deficit;
+  /// 0.0 when unquantifiable). Reject path only, so the scan loops stay
+  /// store-only.
   [[nodiscard]] double reject_job_margin(const Job& job, int suitable_count);
   /// Moves the `count` best candidates of suitable_ to its front in
   /// (fit, node id) order — fullest first for BestFit, emptiest first for
@@ -134,52 +127,6 @@ class LibraScheduler final : public Scheduler {
   /// counters and trace events as the scalar scan, in node order.
   void scan_zero_risk_batched(const Job& job, sim::SimTime now, bool tracing,
                               bool can_stop_early);
-
-  // ---- overload-catalog consult sites (core/overload.hpp) ----
-  // Every helper below is only reachable when a non-HardReject mode is
-  // configured (overload_enabled_), so the default path stays byte-identical
-  // to pre-catalog builds.
-
-  /// The Libra-family load signal: admitted-but-unfinished share demand vs
-  /// total share capacity (cluster size x per-node capacity).
-  [[nodiscard]] LoadSignal load_signal() const noexcept {
-    return LoadSignal{inflight_share_,
-                      static_cast<double>(executor_.cluster().size()) *
-                          config_.capacity};
-  }
-  /// Per-submission governor pulse + the ShedTail pre-check. Returns true
-  /// when the job was shed (fully accounted as a rejection).
-  [[nodiscard]] bool shed_or_pulse(const Job& job, sim::SimTime now);
-  /// Shortfall consult: called when the normal scan came up short. Applies
-  /// the engaged mode's bend (relaxed re-scan, QoS downgrade, or deferral);
-  /// returns true when the job was admitted or parked, false to fall
-  /// through to the normal reject path.
-  [[nodiscard]] bool try_degraded(const Job& job, sim::SimTime now);
-  /// Full-cluster re-scan with a (possibly) relaxed sigma threshold and a
-  /// (possibly) rewritten deadline, with the Eq. 2 share cap enforced on
-  /// every candidate (catalog flag kForbidAdmitPastEq2). Admits on success.
-  [[nodiscard]] bool rescan_and_admit(const Job& job, sim::SimTime now,
-                                      double sigma_threshold, double deadline,
-                                      trace::RejectionReason bent);
-  /// Admits the job over the first num_procs entries of suitable_ with the
-  /// degraded provenance (stats, Decision mark, JobDegradedAdmit event).
-  /// `run` is the job handed to the executor — the degraded copy for
-  /// DowngradeQoS, `job` itself otherwise.
-  void degraded_admit_prepared(const Job& job, const Job& run,
-                               sim::SimTime now, trace::RejectionReason bent);
-  /// DeferToSalvage: parks the job and schedules its retry.
-  void defer_job(const Job& job, sim::SimTime now);
-  /// Salvage-lane retry: re-runs the NORMAL test (DeferToSalvage may bend
-  /// neither risk nor deadline); re-parks or finally rejects at_dispatch.
-  void retry_deferred(std::int64_t job_id);
-  /// Inflight-share bookkeeping feeding load_signal().
-  void track_inflight(const Job& job,
-                      const std::vector<cluster::NodeId>& nodes);
-  void release_inflight(std::int64_t job_id);
-  /// Completion/kill epilogue under an enabled catalog: releases the
-  /// inflight contribution and, for a DowngradeQoS job, restores the
-  /// original deadline before the collector judges lateness.
-  void resolve_overload(const Job& job, sim::SimTime when, bool killed);
 
   sim::Simulator& sim_;
   cluster::TimeSharedExecutor& executor_;
@@ -213,40 +160,6 @@ class LibraScheduler final : public Scheduler {
   std::vector<NodeRiskInput> batch_inputs_;
   std::vector<NodeRiskVerdict> batch_verdicts_;
   std::vector<BatchEntry> batch_meta_;
-
-  // ---- overload-catalog state (all idle under HardReject) ----
-  /// mode != HardReject, decided once at construction; every consult site
-  /// guards on it so the default path never touches the state below.
-  bool overload_enabled_ = false;
-  OverloadGovernor governor_;
-  /// Fastest node speed, for the ShedTail required-share bound (a job's
-  /// cheapest possible per-node share is on the fastest node).
-  double max_speed_ = 1.0;
-  /// Degraded re-scan scratch: rescan_and_admit builds candidates here so a
-  /// failed bend leaves suitable_ (and the normal reject accounting that
-  /// reads it) untouched; swapped into suitable_ on success only.
-  std::vector<Candidate> rescan_suitable_;
-  /// Admitted-but-unfinished share demand (sum over running jobs of their
-  /// admission-time share on every chosen node); the load signal numerator.
-  double inflight_share_ = 0.0;
-  std::unordered_map<std::int64_t, double> inflight_contrib_;
-  /// DowngradeQoS: the executor borrows Job pointers until completion, so
-  /// the deadline-extended copy needs stable scheduler-owned storage. The
-  /// completion/kill handler restores `original_deadline` before the
-  /// collector judges lateness, and erases the entry last (its `const Job&`
-  /// parameter aliases the map-owned copy).
-  struct DowngradedJob {
-    Job job;
-    double original_deadline;
-  };
-  std::unordered_map<std::int64_t, DowngradedJob> downgraded_;
-  /// DeferToSalvage parking lot. The engine slab keeps a parked job's
-  /// storage alive while it is Pending, same contract EDF's queue relies on.
-  struct Parked {
-    const Job* job;
-    int deferrals;
-  };
-  std::unordered_map<std::int64_t, Parked> parked_;
 
   /// Telemetry-registered sinks (null when telemetry is not attached; the
   /// registry owns the histograms).

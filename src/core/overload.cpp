@@ -6,72 +6,30 @@
 namespace librisk::core {
 
 std::string_view to_string(DegradedMode mode) noexcept {
-  return kOverloadCatalog[static_cast<std::size_t>(mode)].name;
+  switch (mode) {
+    case DegradedMode::HardReject: return "hard-reject";
+    case DegradedMode::DowngradeQoS: return "downgrade-qos";
+  }
+  return "?";
 }
 
 DegradedMode parse_degraded_mode(std::string_view name) {
-  for (const ModeSpec& spec : kOverloadCatalog)
-    if (spec.name == name) return spec.mode;
-  throw std::invalid_argument("unknown degraded mode: " + std::string(name));
+  for (const DegradedMode mode : all_degraded_modes())
+    if (to_string(mode) == name) return mode;
+  throw std::invalid_argument("unknown degraded mode: " + std::string(name) +
+                              " (expected hard-reject | downgrade-qos)");
 }
 
-std::array<DegradedMode, kDegradedModeCount> all_degraded_modes() {
-  std::array<DegradedMode, kDegradedModeCount> modes{};
-  for (std::size_t i = 0; i < modes.size(); ++i)
-    modes[i] = kOverloadCatalog[i].mode;
-  return modes;
-}
-
-const ModeSpec& mode_spec(DegradedMode mode) {
-  const auto index = static_cast<std::size_t>(mode);
-  if (index >= kOverloadCatalog.size())
-    throw std::logic_error("mode_spec: out-of-range DegradedMode " +
-                           std::to_string(index));
-  return kOverloadCatalog[index];
-}
-
-void audit_catalog() {
-  // Mirrors the compile-time static_assert — defense against a build that
-  // somehow linked a divergent table — plus the string checks that are
-  // nicer to report at runtime.
-  for (std::size_t i = 0; i < kOverloadCatalog.size(); ++i) {
-    const ModeSpec& spec = kOverloadCatalog[i];
-    if (static_cast<std::size_t>(spec.mode) != i)
-      throw std::logic_error("overload catalog: entry " + std::to_string(i) +
-                             " is out of order");
-    if ((spec.forbidden & kUniversalForbidden) != kUniversalForbidden)
-      throw std::logic_error("overload catalog: mode '" +
-                             std::string(spec.name) +
-                             "' is missing a universal forbidden flag");
-    if ((spec.forbidden & ~kAllForbidden) != 0)
-      throw std::logic_error("overload catalog: mode '" +
-                             std::string(spec.name) +
-                             "' carries an unknown forbidden flag");
-    for (std::size_t j = 0; j < i; ++j)
-      if (kOverloadCatalog[j].name == spec.name)
-        throw std::logic_error("overload catalog: duplicate mode name '" +
-                               std::string(spec.name) + "'");
-  }
-  if (kOverloadCatalog[0].mode != DegradedMode::HardReject ||
-      kOverloadCatalog[0].forbidden != kAllForbidden)
-    throw std::logic_error(
-        "overload catalog: HardReject must be entry 0 with every flag set");
+std::array<DegradedMode, 2> all_degraded_modes() {
+  return {DegradedMode::HardReject, DegradedMode::DowngradeQoS};
 }
 
 void OverloadConfig::validate() const {
-  if (static_cast<std::size_t>(mode) >= kOverloadCatalog.size())
+  if (mode != DegradedMode::HardReject && mode != DegradedMode::DowngradeQoS)
     throw std::invalid_argument("OverloadConfig: unknown mode");
   if (!(activation_load >= 0.0))
     throw std::invalid_argument(
         "OverloadConfig: activation_load must be >= 0");
-  if (!(tail_share > 0.0))
-    throw std::invalid_argument("OverloadConfig: tail_share must be > 0");
-  if (!(relax_sigma >= 0.0))
-    throw std::invalid_argument("OverloadConfig: relax_sigma must be >= 0");
-  if (!(defer_delay > 0.0))
-    throw std::invalid_argument("OverloadConfig: defer_delay must be > 0");
-  if (max_deferrals < 1)
-    throw std::invalid_argument("OverloadConfig: max_deferrals must be >= 1");
   if (!(downgrade_factor > 1.0))
     throw std::invalid_argument(
         "OverloadConfig: downgrade_factor must be > 1");

@@ -61,13 +61,11 @@ struct AdmissionStats {
   std::uint64_t near_miss_sigma_10 = 0;
   std::uint64_t near_miss_deadline_5 = 0;   ///< dispatch-time deadline rejections
   std::uint64_t near_miss_deadline_10 = 0;
-  /// Overload-catalog outcomes (core/overload.hpp); all 0 under HardReject.
-  /// `degraded_admits` is a subset of `accepted` (the job IS running, it
-  /// just got there through a licensed bend); `shed_tail` is a subset of
-  /// `rejected_share_overflow` — the per-reason sums stay exact either way.
+  /// Overload outcomes (core/overload.hpp); all 0 under HardReject and for
+  /// every policy without a dispatch-time deadline test. `degraded_admits`
+  /// is a subset of `accepted` (the job IS running, it just got there
+  /// through a relaxed deadline) — the per-reason sums stay exact.
   std::uint64_t degraded_admits = 0;       ///< admissions via a degraded-mode bend
-  std::uint64_t deferrals = 0;             ///< DeferToSalvage park events (retries, not jobs)
-  std::uint64_t shed_tail = 0;             ///< ShedTail pre-rejections
   std::uint64_t overload_activations = 0;  ///< governor flips into degraded operation
 
   /// Derived views shared by every stats surface (CLI, diagnose, telemetry)
@@ -123,11 +121,13 @@ class Scheduler {
     /// obs::NodeMargin convention); 0.0 when the policy computes none.
     double margin = 0.0;
     /// The admission went through a degraded-mode bend (core/overload.hpp):
-    /// the job failed the normal test and a licensed mode admitted it
-    /// anyway. The engine reports such jobs as Verdict::DegradedAdmit.
+    /// the job failed the normal test and DowngradeQoS admitted it anyway.
+    /// The engine reports such jobs as Verdict::DegradedAdmit.
     bool degraded = false;
-    /// The decision was parked by DeferToSalvage: no verdict yet, a salvage
-    /// retry is scheduled. The engine reports Verdict::Deferred.
+    /// No in-library scheduler sets this and the engine ignores it (a
+    /// parked job reads as Queued). It stays only because bench/e2e's
+    /// timing decorator forwards it through note_deferred(); delete both
+    /// with the next change to that benchmark.
     bool deferred = false;
   };
   [[nodiscard]] const Decision& last_decision() const noexcept {
@@ -161,8 +161,8 @@ class Scheduler {
     last_decision_ = Decision{job_id, node, sigma, margin, degraded, false};
   }
 
-  /// Records that DeferToSalvage parked `job_id` (no placement yet); the
-  /// engine maps a pending job carrying this mark to Verdict::Deferred.
+  /// Records that `job_id` was parked without a placement (see
+  /// Decision::deferred).
   void note_deferred(std::int64_t job_id) noexcept {
     last_decision_ = Decision{job_id, -1, -1.0, 0.0, false, true};
   }

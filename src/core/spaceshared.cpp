@@ -20,10 +20,8 @@ SpaceSharedScheduler::SpaceSharedScheduler(sim::Simulator& simulator,
                 "slack factor must be at least 1");
   governor_ = OverloadGovernor(config_.overload);
   // The dispatch-time deadline test is the one rejection site with a
-  // deadline to bend, so DowngradeQoS is the only mode with a license here;
-  // the rest reduce to HardReject.
-  overload_enabled_ = config_.deadline_test && governor_.enabled() &&
-                      config_.overload.mode == DegradedMode::DowngradeQoS;
+  // deadline to bend; without it DowngradeQoS reduces to HardReject.
+  overload_enabled_ = config_.deadline_test && governor_.enabled();
   executor_.set_completion_handler([this](const Job& job, sim::SimTime finish) {
     running_.erase(job.id);
     collector_.record_completed(job, finish);

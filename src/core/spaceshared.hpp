@@ -63,11 +63,11 @@ struct DispatchConfig {
   /// When set, the QoPS admission test at submission with this slack
   /// factor (>= 1; exactly 1 enforces hard deadlines at admission).
   std::optional<double> qops_slack = std::nullopt;
-  /// Graceful-degradation catalog entry (core/overload.hpp). The only
-  /// rejection site with something to bend is the dispatch-time deadline
-  /// test, so only DowngradeQoS with deadline_test acts (evaluate
-  /// feasibility against deadline x downgrade_factor while engaged); every
-  /// other combination behaves exactly like HardReject (docs/OVERLOAD.md).
+  /// Overload mode (core/overload.hpp). The only rejection site with
+  /// something to bend is the dispatch-time deadline test, so DowngradeQoS
+  /// acts only with deadline_test (feasibility against deadline x
+  /// downgrade_factor while engaged); without it every mode behaves
+  /// exactly like HardReject (docs/OVERLOAD.md).
   OverloadConfig overload;
 };
 
@@ -135,7 +135,7 @@ class SpaceSharedScheduler final : public Scheduler {
   /// requires every pending job to finish by submit + slack x deadline.
   [[nodiscard]] bool qops_feasible(const Job& candidate) const;
 
-  // ---- overload-catalog consult (core/overload.hpp) ----
+  // ---- overload consult (core/overload.hpp) ----
   /// Load signal: busy-processor fraction.
   [[nodiscard]] LoadSignal load_signal() const noexcept;
   /// DowngradeQoS consult at the dispatch rejection site: true when the

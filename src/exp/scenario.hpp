@@ -42,11 +42,10 @@ struct Scenario {
 struct JobOutcome {
   std::int64_t id = 0;
   metrics::JobFate fate{};
-  /// Submit-time verdict, overload variants included: DegradedAdmit marks a
-  /// licensed degraded-mode admission, Deferred a salvage-lane park (the
-  /// job's final word is still `fate`). Renderers must not fold these into
-  /// plain accepted/rejected — they are the jobs the overload catalog
-  /// exists to account for.
+  /// Submit-time verdict; DegradedAdmit marks a DowngradeQoS admission (the
+  /// job's final word is still `fate`). Renderers must not fold it into
+  /// plain accepted — it is the job the overload mode exists to account
+  /// for.
   core::AdmissionOutcome::Verdict verdict = core::AdmissionOutcome::Verdict::Queued;
   double delay = 0.0;
   double slowdown = 0.0;

@@ -72,7 +72,7 @@ struct FederationConfig {
   /// shard*, ties to the lowest index) before the saturated shard gets to
   /// reject it. Reject-everywhere only happens when every feasible shard is
   /// saturated. HardReject (default) keeps routing byte-identical to the
-  /// pre-catalog federation. Per-shard engines carry their own
+  /// federation without a spill lane. Per-shard engines carry their own
   /// `options.overload` independently; this knob only bends routing.
   core::OverloadConfig overload;
 };

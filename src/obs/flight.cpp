@@ -13,7 +13,6 @@ const char* to_string(FlightVerdict verdict) noexcept {
     case FlightVerdict::Rejected: return "rejected";
     case FlightVerdict::Shed: return "shed";
     case FlightVerdict::DegradedAdmit: return "degraded_admit";
-    case FlightVerdict::Deferred: return "deferred";
   }
   return "?";
 }

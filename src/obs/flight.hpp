@@ -38,10 +38,8 @@ enum class FlightVerdict : std::uint8_t {
   Queued,
   Rejected,
   Shed,
-  /// Overload-catalog mirrors (core/overload.hpp): admitted through a
-  /// licensed degraded-mode bend / parked by the salvage lane.
+  /// Admitted through the DowngradeQoS bend (core/overload.hpp).
   DegradedAdmit,
-  Deferred,
 };
 
 [[nodiscard]] const char* to_string(FlightVerdict verdict) noexcept;

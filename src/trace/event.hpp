@@ -28,10 +28,11 @@ enum class EventKind : std::uint8_t {
   JobOverrun = 7,    ///< exhausted estimate, re-estimated (a = bump count, b = new estimate)
   NodeEvaluated = 8, ///< admission probed one node (a = sigma or -1, b = total share)
   ShareRealloc = 9,  ///< proportional shares recomputed (a = #running jobs)
-  /// Overload-catalog events (core/overload.hpp): emitted only when a
-  /// degraded mode other than HardReject is configured, so default traces
-  /// stay byte-identical to pre-catalog builds.
-  ModeTransition = 10,   ///< governor flipped (node = engaged 1/0, a = utilization, b = mode index)
+  /// Overload events (core/overload.hpp): emitted only when a degraded
+  /// mode other than HardReject is configured, so default traces never
+  /// carry them. JobDeferred is decoded but never written, so traces that
+  /// carry it still load.
+  ModeTransition = 10,   ///< governor flipped (node = engaged 1/0, a = utilization, b = mode value)
   JobDeferred = 11,      ///< shortfall parked for retry (reason = failed test, a = retry time, b = deferral #)
   JobDegradedAdmit = 12, ///< degraded mode admitted a shortfall (reason = test bent, node = first chosen, a = sigma or -1, b = fit)
 };

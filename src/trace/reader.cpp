@@ -154,7 +154,6 @@ void meta_from_json(const json::Value& v, std::size_t line_no, TraceData& data) 
                                      json::Value(version).dump());
     data.version = static_cast<std::uint8_t>(version);
     data.has_margins = v.bool_or("margins", false);
-    data.has_overload = v.bool_or("overload", false);
   } catch (const json::ParseError& err) {
     throw jsonl_error(line_no, err.what());
   }
@@ -178,10 +177,10 @@ TraceData read_lrt(std::istream& in) {
   // v2 grew a header flags byte; v1 files go straight to the policy name.
   if (version >= 2) {
     const std::uint8_t flags = cur.take_u8();
+    // Bit 1 (kLrtFlagOverload) is reserved: accepted, layout unchanged.
     if ((flags & ~(kLrtFlagMargins | kLrtFlagOverload)) != 0)
       throw TraceError("unknown .lrt header flags " + std::to_string(flags));
     data.has_margins = (flags & kLrtFlagMargins) != 0;
-    data.has_overload = (flags & kLrtFlagOverload) != 0;
   }
   const std::uint64_t name_len = cur.take_varint();
   if (name_len > 4096) throw TraceError("implausible policy-name length (corrupt trace)");

@@ -27,10 +27,6 @@ struct TraceData {
   /// JSONL meta "margins"); false for v1 files and margin-free v2 files,
   /// whose events read back with margin == 0.0.
   bool has_margins = false;
-  /// True when the writer declared overload-catalog event kinds possible
-  /// (v2 flag bit 1 / JSONL meta "overload"). Layout is unchanged either
-  /// way; the bit is a fail-fast marker for overload-unaware readers.
-  bool has_overload = false;
 };
 
 /// Parses a binary .lrt stream, version 1 or 2. Throws TraceError on bad

@@ -101,8 +101,8 @@ class Recorder {
           EventKind::ShareRealloc, RejectionReason::None, -1});
   }
 
-  // Overload-catalog emitters (core/overload.hpp). Only a non-HardReject
-  // governor reaches these, so default traces keep their pre-catalog bytes.
+  // Overload emitters (core/overload.hpp). Only a non-HardReject governor
+  // reaches these, so default traces never carry them.
 
   /// The overload governor flipped between normal and degraded operation.
   void mode_transition(sim::SimTime t, int mode, bool engaged,
@@ -112,18 +112,8 @@ class Recorder {
           EventKind::ModeTransition, RejectionReason::None, engaged ? 1 : 0});
   }
 
-  /// DeferToSalvage parked a shortfall job; `reason` names the test that
-  /// failed, `retry_time` when the salvage retry fires, `deferral` which
-  /// retry this will be (1-based).
-  void job_deferred(sim::SimTime t, std::int64_t job, RejectionReason reason,
-                    double retry_time, int deferral) {
-    if (!enabled_) return;
-    emit({t, job, retry_time, static_cast<double>(deferral),
-          EventKind::JobDeferred, reason, -1});
-  }
-
-  /// A degraded mode admitted a job that failed the normal test; `reason`
-  /// names the test the mode was licensed to bend.
+  /// DowngradeQoS admitted a job that failed the normal test; `reason`
+  /// names the test it bent.
   void job_degraded_admit(sim::SimTime t, std::int64_t job,
                           RejectionReason reason, int first_node, double sigma,
                           double fit, double margin = 0.0) {

@@ -15,7 +15,6 @@ JsonlSink::JsonlSink(std::ostream& os, const TraceMeta& meta, SinkOptions option
   // Written even when false-by-omission would do: the meta line is the one
   // place readers learn whether event lines carry margins.
   if (options_.margins) writer_.field("margins", true);
-  if (options_.overload) writer_.field("overload", true);
   writer_.end();
 }
 
@@ -41,8 +40,7 @@ BinarySink::BinarySink(std::ostream& os, const TraceMeta& meta,
     : os_(&os), options_(options) {
   put_bytes(kLrtMagic, sizeof kLrtMagic);
   put_u8(kLrtVersion);
-  put_u8(static_cast<std::uint8_t>((options_.margins ? kLrtFlagMargins : 0) |
-                                   (options_.overload ? kLrtFlagOverload : 0)));
+  put_u8(static_cast<std::uint8_t>(options_.margins ? kLrtFlagMargins : 0));
   put_varint(meta.policy.size());
   put_bytes(meta.policy.data(), meta.policy.size());
   put_varint(meta.seed);

@@ -29,10 +29,9 @@ inline constexpr std::uint8_t kLrtVersionV1 = 1;
 inline constexpr std::uint8_t kLrtVersion = 2;
 /// v2 header flags bit 0: every event record carries a trailing f64 margin.
 inline constexpr std::uint8_t kLrtFlagMargins = 0x01;
-/// v2 header flags bit 1: the stream may contain overload-catalog event
-/// kinds (ModeTransition / JobDeferred / JobDegradedAdmit). Record layout
-/// is unchanged — the bit exists so an overload-unaware reader fails fast
-/// at the header instead of choking on an unknown kind byte mid-stream.
+/// v2 header flags bit 1: reserved. No writer sets it; readers accept it
+/// and ignore it (record layout is the same either way), so files that
+/// declared overload event kinds with it still load.
 inline constexpr std::uint8_t kLrtFlagOverload = 0x02;
 /// FNV-1a 64-bit, computed incrementally over every byte that precedes the
 /// checksum itself (header, events, end marker, event count).
@@ -46,11 +45,6 @@ struct SinkOptions {
   /// margin-unaware emitter produces, so determinism oracles keep working
   /// across runs that do and do not compute margins.
   bool margins = false;
-  /// Declare that the run may emit overload-catalog events (v2 flag bit 1 /
-  /// JSONL "overload" meta field). Off by default: a HardReject run emits
-  /// none, and leaving the bit clear keeps its header byte-identical to
-  /// pre-catalog traces.
-  bool overload = false;
 };
 
 class Sink {

@@ -1,18 +1,19 @@
-// The overload catalog (core/overload.hpp) and its two load-bearing
+// The overload modes (core/overload.hpp) and their load-bearing
 // guarantees:
 //
-//   (1) HardReject is byte-identical — with the catalog configured (any
+//   (1) HardReject is byte-identical — with the overload config set (any
 //       knob values) the .lrt decision trace of every policy over many
-//       seeds equals a default run's exactly. The refactor added a
-//       graceful-degradation surface, not a behavior change.
-//   (2) Every degraded mode is deterministic and replayable: same-seed
-//       runs produce trace-diff-identical .lrt files even while the
-//       governor is flipping and the licensed bends are firing.
+//       seeds equals a default run's exactly.
+//   (2) DowngradeQoS bends only EDF and EDF-BF: every other policy's .lrt
+//       under it equals its HardReject trace, past the knee.
+//   (3) Every mode is deterministic and replayable: same-seed runs produce
+//       trace-diff-identical .lrt files even while the governor is flipping
+//       and the bend is firing.
 //
-// Plus the catalog self-audit, the license/forbidden-flag algebra, the
-// exact per-reason accounting invariants across all policies x all modes
-// (scheduler counters and gateway certificate sheds both sum to their
-// totals), and conservation through the federation spill lane.
+// Plus the exact per-reason accounting invariants across all policies x
+// both modes (scheduler counters and gateway certificate sheds both sum to
+// their totals), the certificates each gateway policy keeps, and
+// conservation through the federation spill lane.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -38,9 +39,7 @@ namespace {
 using core::DegradedMode;
 
 // ---------------------------------------------------------------------------
-// Catalog self-audit and the license algebra
-
-TEST(OverloadCatalog, AuditPasses) { EXPECT_NO_THROW(core::audit_catalog()); }
+// Mode names, config validation and the governor
 
 TEST(OverloadCatalog, WireNamesRoundTrip) {
   for (const DegradedMode mode : core::all_degraded_modes())
@@ -51,35 +50,20 @@ TEST(OverloadCatalog, WireNamesRoundTrip) {
   EXPECT_THROW((void)core::parse_degraded_mode("HardReject"),
                std::invalid_argument);
   EXPECT_THROW((void)core::parse_degraded_mode(""), std::invalid_argument);
-}
-
-TEST(OverloadCatalog, UniversalFlagsForbiddenForEveryMode) {
-  for (const core::ModeSpec& spec : core::kOverloadCatalog) {
-    EXPECT_FALSE(core::mode_allows(spec.mode, core::kForbidAdmitPastEq2))
-        << spec.name;
-    EXPECT_FALSE(core::mode_allows(spec.mode, core::kForbidTouchAdmitted))
-        << spec.name;
-    EXPECT_FALSE(core::mode_allows(spec.mode, core::kForbidStructuralAdmit))
-        << spec.name;
-    EXPECT_FALSE(core::mode_allows(spec.mode, core::kForbidNondeterminism))
-        << spec.name;
-    EXPECT_FALSE(core::mode_allows(spec.mode, core::kForbidDropWithoutAccount))
-        << spec.name;
+  // The deleted modes are unknown names now, and the error says what is
+  // accepted.
+  for (const char* removed : {"shed-tail", "relax-sigma", "defer-to-salvage"}) {
+    try {
+      (void)core::parse_degraded_mode(removed);
+      ADD_FAILURE() << removed << " still parses";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("unknown degraded mode: ") + removed +
+                    " (expected hard-reject | downgrade-qos)");
+    }
   }
-}
-
-TEST(OverloadCatalog, EachLicenseBelongsToExactlyOneMode) {
-  for (const core::ModeSpec& spec : core::kOverloadCatalog) {
-    EXPECT_EQ(core::mode_allows(spec.mode, core::kForbidRelaxedRisk),
-              spec.mode == DegradedMode::RelaxSigma)
-        << spec.name;
-    EXPECT_EQ(core::mode_allows(spec.mode, core::kForbidDeadlineRewrite),
-              spec.mode == DegradedMode::DowngradeQoS)
-        << spec.name;
-    EXPECT_EQ(core::mode_allows(spec.mode, core::kForbidDelayedDecision),
-              spec.mode == DegradedMode::DeferToSalvage)
-        << spec.name;
-  }
+  // DowngradeQoS keeps its wire value: ModeTransition events carry it.
+  EXPECT_EQ(static_cast<int>(DegradedMode::DowngradeQoS), 4);
 }
 
 TEST(OverloadConfig, ValidateAcceptsDefaultsRejectsBadKnobs) {
@@ -90,20 +74,14 @@ TEST(OverloadConfig, ValidateAcceptsDefaultsRejectsBadKnobs) {
   bad.activation_load = -0.1;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = ok;
-  bad.tail_share = 0.0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = ok;
-  bad.relax_sigma = -1.0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = ok;
-  bad.defer_delay = 0.0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = ok;
-  bad.max_deferrals = 0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = ok;
   bad.downgrade_factor = 1.0;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
+  // The wire values of the deleted modes are not modes any more.
+  for (const int stale : {1, 2, 3, 5}) {
+    bad = ok;
+    bad.mode = static_cast<DegradedMode>(stale);
+    EXPECT_THROW(bad.validate(), std::invalid_argument) << stale;
+  }
 }
 
 TEST(OverloadGovernor, HardRejectNeverEngages) {
@@ -116,7 +94,7 @@ TEST(OverloadGovernor, HardRejectNeverEngages) {
 
 TEST(OverloadGovernor, EngagesAtActivationLoadAndCountsFlips) {
   core::OverloadConfig config;
-  config.mode = DegradedMode::ShedTail;
+  config.mode = DegradedMode::DowngradeQoS;
   config.activation_load = 0.5;
   core::OverloadGovernor governor{config};
   EXPECT_TRUE(governor.enabled());
@@ -156,14 +134,10 @@ std::string record_lrt(core::Policy policy, std::uint64_t seed,
 TEST(OverloadIdentity, HardRejectByteIdenticalAcrossPoliciesAndSeeds) {
   // The acceptance bar for the refactor: under HardReject every consult
   // site must reduce to a no-op before touching state, so a run with the
-  // catalog configured — even with every knob off-default — leaves the
+  // overload config set — even with every knob off-default — leaves the
   // .lrt decision trace byte-identical to a default run.
   core::OverloadConfig noisy;  // mode stays HardReject
   noisy.activation_load = 0.25;
-  noisy.tail_share = 0.9;
-  noisy.relax_sigma = 2.0;
-  noisy.defer_delay = 30.0;
-  noisy.max_deferrals = 5;
   noisy.downgrade_factor = 3.0;
   for (const core::Policy policy : core::all_policies()) {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -175,7 +149,7 @@ TEST(OverloadIdentity, HardRejectByteIdenticalAcrossPoliciesAndSeeds) {
 }
 
 /// Hot configuration for the degraded-mode tests: arrivals compressed past
-/// the knee so the governor actually flips and the licensed bends fire.
+/// the knee so the governor actually flips and the bends fire.
 core::OverloadConfig hot(DegradedMode mode) {
   core::OverloadConfig config;
   config.mode = mode;
@@ -183,23 +157,43 @@ core::OverloadConfig hot(DegradedMode mode) {
 }
 constexpr double kHotScale = 0.35;
 
+TEST(OverloadIdentity, DowngradeQoSIsHardRejectWithoutDeadlineTest) {
+  // Only EDF and EDF-BF have a dispatch-time deadline test to bend. Every
+  // other policy must decide under DowngradeQoS exactly as under
+  // HardReject — past the knee, where the governor would engage — down to
+  // the last trace byte (no ModeTransition events either).
+  const core::Policy policies[] = {
+      core::Policy::Libra, core::Policy::LibraRisk, core::Policy::EdfNoAC,
+      core::Policy::Fcfs,  core::Policy::Easy,      core::Policy::Qops};
+  for (const core::Policy policy : policies) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      // EXPECT_TRUE, not EXPECT_EQ: a mismatch would dump two whole traces.
+      EXPECT_TRUE(record_lrt(policy, seed, hot(DegradedMode::HardReject),
+                             kHotScale) ==
+                  record_lrt(policy, seed, hot(DegradedMode::DowngradeQoS),
+                             kHotScale))
+          << "policy " << core::to_string(policy) << ", seed " << seed;
+    }
+  }
+}
+
 TEST(OverloadDeterminism, SameSeedTraceIdenticalPerMode) {
-  // Determinism/replayability: two same-seed runs of every degraded mode
-  // are trace-diff identical, for the bendable policies and a space-shared
-  // control (where every mode must reduce to HardReject).
+  // Determinism/replayability: two same-seed runs of each mode are
+  // trace-diff identical, for the bendable policies and controls that
+  // reduce to HardReject.
   const core::Policy policies[] = {core::Policy::LibraRisk,
                                    core::Policy::Libra, core::Policy::Edf,
+                                   core::Policy::EdfBackfill,
                                    core::Policy::Fcfs};
-  for (const core::ModeSpec& spec : core::kOverloadCatalog) {
+  for (const DegradedMode mode : core::all_degraded_modes()) {
     for (const core::Policy policy : policies) {
       for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        const std::string first =
-            record_lrt(policy, seed, hot(spec.mode), kHotScale);
+        const std::string first = record_lrt(policy, seed, hot(mode), kHotScale);
         const std::string second =
-            record_lrt(policy, seed, hot(spec.mode), kHotScale);
+            record_lrt(policy, seed, hot(mode), kHotScale);
         EXPECT_EQ(first, second)
-            << "mode " << spec.name << ", policy " << core::to_string(policy)
-            << ", seed " << seed;
+            << "mode " << core::to_string(mode) << ", policy "
+            << core::to_string(policy) << ", seed " << seed;
       }
     }
   }
@@ -207,7 +201,7 @@ TEST(OverloadDeterminism, SameSeedTraceIdenticalPerMode) {
 
 // ---------------------------------------------------------------------------
 // Accounting invariants (the property test): per-reason rejection counters
-// sum exactly to the totals for every policy under every degraded mode.
+// sum exactly to the totals for every policy under both modes.
 
 std::vector<workload::Job> hot_jobs(int count, std::uint64_t seed) {
   workload::PaperWorkloadConfig w;
@@ -233,27 +227,25 @@ core::AdmissionStats run_engine(core::Policy policy, DegradedMode mode,
 TEST(OverloadAccounting, PerReasonRejectionsSumExactly) {
   const std::vector<workload::Job> jobs = hot_jobs(400, 3);
   for (const core::Policy policy : core::all_policies()) {
-    for (const core::ModeSpec& spec : core::kOverloadCatalog) {
-      const core::AdmissionStats adm = run_engine(policy, spec.mode, jobs);
+    for (const DegradedMode mode : core::all_degraded_modes()) {
+      const std::string_view name = core::to_string(mode);
+      const core::AdmissionStats adm = run_engine(policy, mode, jobs);
       // Every policy counts, so the sums below cannot hold vacuously.
       EXPECT_EQ(adm.submissions, jobs.size())
-          << "policy " << core::to_string(policy) << ", mode " << spec.name;
+          << "policy " << core::to_string(policy) << ", mode " << name;
       EXPECT_EQ(adm.rejections,
                 adm.rejected_share_overflow + adm.rejected_risk_sigma +
                     adm.rejected_no_suitable_node +
                     adm.rejected_deadline_infeasible)
-          << "policy " << core::to_string(policy) << ", mode " << spec.name;
+          << "policy " << core::to_string(policy) << ", mode " << name;
       // Every offered job resolves to exactly one of accepted/rejected by
-      // the end of the run — deferrals park retries, they never leak jobs.
+      // the end of the run.
       EXPECT_EQ(adm.submissions, adm.accepted + adm.rejections)
-          << "policy " << core::to_string(policy) << ", mode " << spec.name;
+          << "policy " << core::to_string(policy) << ", mode " << name;
       // Degraded outcomes attribute, they do not add.
       EXPECT_LE(adm.degraded_admits, adm.accepted);
-      EXPECT_LE(adm.shed_tail, adm.rejected_share_overflow);
-      if (spec.mode == DegradedMode::HardReject) {
+      if (mode == DegradedMode::HardReject) {
         EXPECT_EQ(adm.degraded_admits, 0u);
-        EXPECT_EQ(adm.deferrals, 0u);
-        EXPECT_EQ(adm.shed_tail, 0u);
         EXPECT_EQ(adm.overload_activations, 0u);
       }
     }
@@ -261,59 +253,89 @@ TEST(OverloadAccounting, PerReasonRejectionsSumExactly) {
 }
 
 TEST(OverloadAccounting, EachModesMachineryActuallyFires) {
-  // Guard against the degraded modes decaying into silent HardReject: past
-  // the knee, each mode's own counter must move under LibraRisk (for
-  // RelaxSigma, the sigma-bend host) or Libra (for the share-side modes).
-  std::uint64_t shed = 0, relaxed = 0, deferred = 0, downgraded = 0;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const std::vector<workload::Job> jobs = hot_jobs(400, seed);
-    shed += run_engine(core::Policy::Libra, DegradedMode::ShedTail, jobs)
-                .shed_tail;
-    relaxed +=
-        run_engine(core::Policy::LibraRisk, DegradedMode::RelaxSigma, jobs)
-            .degraded_admits;
-    deferred +=
-        run_engine(core::Policy::LibraRisk, DegradedMode::DeferToSalvage, jobs)
-            .deferrals;
-    downgraded +=
-        run_engine(core::Policy::LibraRisk, DegradedMode::DowngradeQoS, jobs)
-            .degraded_admits;
+  // Guard against DowngradeQoS decaying into silent HardReject: past the
+  // knee, the governor must engage and the bend must admit jobs under both
+  // policies that carry it.
+  for (const core::Policy policy :
+       {core::Policy::Edf, core::Policy::EdfBackfill}) {
+    std::uint64_t downgraded = 0, activations = 0;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const core::AdmissionStats adm =
+          run_engine(policy, DegradedMode::DowngradeQoS, hot_jobs(400, seed));
+      downgraded += adm.degraded_admits;
+      activations += adm.overload_activations;
+    }
+    EXPECT_GT(downgraded, 0u) << core::to_string(policy);
+    EXPECT_GT(activations, 0u) << core::to_string(policy);
   }
-  EXPECT_GT(shed, 0u);
-  EXPECT_GT(relaxed, 0u);
-  EXPECT_GT(deferred, 0u);
-  EXPECT_GT(downgraded, 0u);
 }
 
 TEST(OverloadAccounting, GatewayCertificateShedsSumToFastRejected) {
   const std::vector<workload::Job> jobs = hot_jobs(300, 3);
   for (const core::Policy policy : core::all_policies()) {
-    for (const core::ModeSpec& spec : core::kOverloadCatalog) {
+    for (const DegradedMode mode : core::all_degraded_modes()) {
+      const std::string_view name = core::to_string(mode);
       core::GatewayConfig config;
       config.engine.cluster = cluster::Cluster::homogeneous(32, 168.0);
       config.engine.policy = policy;
-      config.engine.options.overload = hot(spec.mode);
+      config.engine.options.overload = hot(mode);
       core::AdmissionGateway gateway(std::move(config));
       for (const workload::Job& job : jobs) gateway.submit(job);
       gateway.close();
       const core::GatewayStats gs = gateway.stats();
       EXPECT_EQ(gs.fast_rejected, gs.shed_no_suitable_node + gs.shed_share +
                                       gs.shed_deadline + gs.shed_aggregate)
-          << "policy " << core::to_string(policy) << ", mode " << spec.name;
-      // The C2 certificates are dropped under bend-licensed modes; shedding
-      // must stay conservative either way — the audit replays every shed.
+          << "policy " << core::to_string(policy) << ", mode " << name;
+      // EDF and EDF-BF drop C2-deadline under DowngradeQoS; shedding must
+      // stay conservative either way — the audit replays every shed.
       EXPECT_EQ(gs.audit_violations, 0u)
-          << "policy " << core::to_string(policy) << ", mode " << spec.name;
+          << "policy " << core::to_string(policy) << ", mode " << name;
       EXPECT_EQ(gs.decided, jobs.size());
       // Occupancy counters attribute engine decisions, they never add.
       const core::AdmissionStats adm = gateway.engine().admission_stats();
       EXPECT_LE(gs.degraded_admits, adm.degraded_admits);
-      if (spec.mode == DegradedMode::HardReject) {
+      if (mode == DegradedMode::HardReject) {
         EXPECT_EQ(gs.degraded_admits, 0u);
-        EXPECT_EQ(gs.deferred, 0u);
       }
     }
   }
+}
+
+core::GatewayStats run_gateway(core::Policy policy, DegradedMode mode,
+                               const std::vector<workload::Job>& jobs) {
+  core::GatewayConfig config;
+  config.engine.cluster = cluster::Cluster::homogeneous(32, 168.0);
+  config.engine.policy = policy;
+  config.engine.options.overload = hot(mode);
+  core::AdmissionGateway gateway(std::move(config));
+  for (const workload::Job& job : jobs) gateway.submit(job);
+  gateway.close();
+  return gateway.stats();
+}
+
+TEST(OverloadGateway, PoliciesThatCannotBendKeepTheirCertificates) {
+  // Libra and QoPS decide under DowngradeQoS exactly as under HardReject,
+  // so their C2 certificates stay sound and must keep shedding the same
+  // jobs; only EDF and EDF-BF, whose deadline test bends, give theirs up.
+  const std::vector<workload::Job> jobs = hot_jobs(300, 3);
+  const core::GatewayStats libra_hard =
+      run_gateway(core::Policy::Libra, DegradedMode::HardReject, jobs);
+  const core::GatewayStats libra_bent =
+      run_gateway(core::Policy::Libra, DegradedMode::DowngradeQoS, jobs);
+  EXPECT_GT(libra_hard.shed_share, 0u) << "C2-share never fired; vacuous";
+  EXPECT_EQ(libra_bent.shed_share, libra_hard.shed_share);
+  EXPECT_EQ(libra_bent.audit_violations, 0u);
+
+  const core::GatewayStats qops_hard =
+      run_gateway(core::Policy::Qops, DegradedMode::HardReject, jobs);
+  const core::GatewayStats qops_bent =
+      run_gateway(core::Policy::Qops, DegradedMode::DowngradeQoS, jobs);
+  EXPECT_EQ(qops_bent.shed_deadline, qops_hard.shed_deadline);
+  EXPECT_EQ(qops_bent.audit_violations, 0u);
+
+  EXPECT_EQ(run_gateway(core::Policy::Edf, DegradedMode::DowngradeQoS, jobs)
+                .shed_deadline,
+            0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -340,7 +362,7 @@ federation::FederationConfig spill_config(DegradedMode mode,
 TEST(OverloadFederation, SpillLaneConservesJobsAndCounters) {
   const std::vector<workload::Job> jobs = hot_jobs(400, 3);
   federation::Federation fed(
-      spill_config(DegradedMode::DeferToSalvage, /*activation_load=*/0.3));
+      spill_config(DegradedMode::DowngradeQoS, /*activation_load=*/0.3));
   std::uint64_t spilled_results = 0;
   for (const workload::Job& job : jobs) {
     const federation::RouteResult r = fed.submit(job);
@@ -389,7 +411,7 @@ TEST(OverloadFederation, SpillAssignmentsAreDeterministic) {
   std::vector<int> first, second;
   for (std::vector<int>* run : {&first, &second}) {
     federation::Federation fed(
-        spill_config(DegradedMode::ShedTail, /*activation_load=*/0.3));
+        spill_config(DegradedMode::DowngradeQoS, /*activation_load=*/0.3));
     for (const workload::Job& job : jobs)
       run->push_back(fed.submit(job).shard);
     fed.finish();

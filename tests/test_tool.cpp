@@ -213,5 +213,42 @@ TEST(Tool, ReplayMissingFileFails) {
   EXPECT_EQ(r.exit_code, 1);
 }
 
+TEST(Tool, RemovedOverloadModesAreUnknownEverywhere) {
+  // Every command that takes --overload-mode rejects a deleted mode name
+  // with the same clean usage error.
+  const std::string expected =
+      "error: unknown degraded mode: shed-tail (expected hard-reject | "
+      "downgrade-qos)";
+  const std::vector<std::vector<std::string>> invocations = {
+      {"run"},     {"compare"}, {"sweep"},  {"workload"},
+      {"metrics"}, {"explain"}, {"replay"}, {"trace", "record"}};
+  for (const std::vector<std::string>& inv : invocations) {
+    std::vector<std::string> args(inv.begin() + 1, inv.end());
+    args.insert(args.end(), {"--overload-mode", "shed-tail"});
+    const ToolResult r = run_tool(inv[0], args);
+    EXPECT_EQ(r.exit_code, 2) << inv[0] << ": " << r.err;
+    EXPECT_NE(r.err.find(expected), std::string::npos) << inv[0] << ": " << r.err;
+  }
+}
+
+TEST(Tool, RemovedOverloadModeInConfigIsUnknown) {
+  const std::string path = ::testing::TempDir() + "/tool_overload.json";
+  {
+    std::ofstream out(path);
+    out << R"({"jobs": 50, "overload_mode": "relax-sigma"})";
+  }
+  const ToolResult r = run_tool("run", {"--config", path});
+  EXPECT_EQ(r.exit_code, 2) << r.err;
+  EXPECT_NE(r.err.find("error: unknown degraded mode: relax-sigma (expected "
+                       "hard-reject | downgrade-qos)"),
+            std::string::npos)
+      << r.err;
+  // The kept modes still run.
+  EXPECT_EQ(run_tool("run", {"--jobs", "50", "--nodes", "8", "--policy", "EDF",
+                             "--overload-mode", "downgrade-qos"})
+                .exit_code,
+            0);
+}
+
 }  // namespace
 }  // namespace librisk::tool

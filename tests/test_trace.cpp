@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -334,6 +335,48 @@ TEST(TraceFormat, V1FixtureStillReads) {
   for (std::size_t i = 0; i < v1.events.size(); ++i)
     ASSERT_EQ(v2.events[i], v1.events[i]) << "event " << i;
   EXPECT_TRUE(trace::first_divergence(v1, v2).identical());
+}
+
+TEST(TraceFormat, DeferredOverloadFixtureStillReads) {
+  // Checked-in blob from a LibraRisk defer-to-salvage run (a mode since
+  // deleted): `trace record --policy LibraRisk --overload-mode
+  // defer-to-salvage --load-scale 0.35 --jobs 60 --nodes 8`. Nothing writes
+  // JobDeferred any more, but traces that carry it must still load.
+  const std::string fixture =
+      std::string(LIBRISK_TEST_DATA_DIR) + "/overload_deferred.lrt";
+  const trace::TraceData data = trace::read_trace_file(fixture);
+  EXPECT_EQ(data.version, trace::kLrtVersion);
+  EXPECT_FALSE(data.has_margins);
+  EXPECT_EQ(data.meta.policy, "LibraRisk");
+  EXPECT_EQ(data.meta.seed, 1u);
+  const trace::TraceSummary s = trace::summarize(data.events);
+  EXPECT_EQ(s.total, 477u);
+  EXPECT_EQ(s.count(trace::EventKind::JobSubmitted), 60u);
+  EXPECT_EQ(s.count(trace::EventKind::JobAdmitted), 21u);
+  EXPECT_EQ(s.count(trace::EventKind::JobRejected), 39u);
+  EXPECT_EQ(s.count(trace::EventKind::ModeTransition), 2u);
+  EXPECT_EQ(s.count(trace::EventKind::JobDeferred), 9u);
+  EXPECT_EQ(s.count(trace::EventKind::JobDegradedAdmit), 0u);
+
+  // Header flag bit 1 (reserved, once "may carry overload kinds") is still
+  // accepted: set it, re-stamp the FNV-1a checksum, and the same events
+  // read back.
+  std::ifstream in(fixture, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  ASSERT_GT(bytes.size(), 14u);
+  bytes[5] = static_cast<char>(bytes[5] | trace::kLrtFlagOverload);
+  std::uint64_t hash = trace::kFnvOffset;
+  for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
+    hash ^= static_cast<std::uint8_t>(bytes[i]);
+    hash *= trace::kFnvPrime;
+  }
+  for (std::size_t i = 0; i < 8; ++i)
+    bytes[bytes.size() - 8 + i] = static_cast<char>((hash >> (8 * i)) & 0xFF);
+  std::istringstream flagged(bytes);
+  const trace::TraceData reread = trace::read_lrt(flagged);
+  EXPECT_EQ(reread.meta, data.meta);
+  EXPECT_EQ(reread.events, data.events);
 }
 
 TEST(TraceFormat, MarginsRoundTripBothFormats) {

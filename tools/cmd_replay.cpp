@@ -99,10 +99,9 @@ int run_gateway(const ReplayFlags& f, core::Policy policy,
       << " submitted, " << gs.fast_rejected << " fast-rejected, "
       << gs.decided << " decided, queue high-water " << gs.queue_high_water
       << ", audit violations " << gs.audit_violations << '\n';
-  if (gs.degraded_admits > 0 || gs.deferred > 0)
-    out << "overload ("
-        << core::to_string(f.overload.mode) << "): " << gs.degraded_admits
-        << " degraded admits, " << gs.deferred << " deferrals\n";
+  if (gs.degraded_admits > 0)
+    out << "overload (" << core::to_string(f.overload.mode)
+        << "): " << gs.degraded_admits << " degraded admits\n";
   if (gs.fast_rejected > 0) {
     const auto shed_pct = [&](std::uint64_t n) {
       return gs.submitted > 0 ? 100.0 * static_cast<double>(n) /
@@ -208,12 +207,10 @@ int run_streaming(const ReplayFlags& f, core::Policy policy,
         << adm.near_miss_10() << " within 10% of flipping (share "
         << adm.near_miss_share_10 << ", sigma " << adm.near_miss_sigma_10
         << ", deadline " << adm.near_miss_deadline_10 << ")\n";
-  if (adm.overload_activations > 0 || adm.degraded_admits > 0 ||
-      adm.deferrals > 0 || adm.shed_tail > 0)
+  if (adm.overload_activations > 0 || adm.degraded_admits > 0)
     out << "overload (" << core::to_string(f.overload.mode)
         << "): " << adm.overload_activations << " activations, "
-        << adm.degraded_admits << " degraded admits, " << adm.deferrals
-        << " deferrals, " << adm.shed_tail << " tail sheds\n";
+        << adm.degraded_admits << " degraded admits\n";
   if (!telemetry_out.empty()) {
     telemetry.write_dir(telemetry_out);
     out << "telemetry written to " << telemetry_out << " ("
@@ -288,12 +285,12 @@ int run_federation(const ReplayFlags& f, core::Policy policy,
   if (summary.spilled > 0)
     out << ", " << summary.spilled << " spilled to salvage shards";
   out << '\n';
-  // Degraded outcome variants get their own columns — folding DegradedAdmit
-  // into "fulfilled" or Deferred into nothing would hide exactly the jobs
-  // the overload catalog exists to account for (docs/OVERLOAD.md).
+  // Degraded admissions get their own column — folding them into
+  // "fulfilled" would hide exactly the jobs the overload mode exists to
+  // account for (docs/OVERLOAD.md).
   table::Table shard_table({"shard", "nodes", "routed", "spill in/out",
-                            "fulfilled %", "degraded", "deferred",
-                            "avg slowdown", "near-miss 10%"});
+                            "fulfilled %", "degraded", "avg slowdown",
+                            "near-miss 10%"});
   for (const federation::ShardSummary& s : summary.shards)
     shard_table.add_row({s.name, std::to_string(s.nodes),
                          std::to_string(s.routed),
@@ -301,7 +298,6 @@ int run_federation(const ReplayFlags& f, core::Policy policy,
                              std::to_string(s.spilled_out),
                          table::num(s.summary.fulfilled_pct, 2),
                          std::to_string(s.admission.degraded_admits),
-                         std::to_string(s.admission.deferrals),
                          table::num(s.summary.avg_slowdown_fulfilled, 3),
                          std::to_string(s.admission.near_miss_10())});
   out << shard_table.str();
@@ -369,8 +365,8 @@ int cmd_replay(const std::vector<std::string>& args, std::ostream& out) {
       1.0);
   auto& overload_opt = parser.add<std::string>(
       "overload-mode",
-      "graceful-degradation mode past the load knee: hard-reject | shed-tail "
-      "| relax-sigma | defer-to-salvage | downgrade-qos (docs/OVERLOAD.md)",
+      "overload mode past the load knee: hard-reject | downgrade-qos "
+      "(docs/OVERLOAD.md)",
       "hard-reject");
   auto& activation_opt = parser.add<double>(
       "activation-load",

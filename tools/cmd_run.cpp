@@ -78,13 +78,11 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out) {
           << adm.near_miss_share_10 << ", sigma " << adm.near_miss_sigma_10
           << ", deadline " << adm.near_miss_deadline_10 << ")\n";
     }
-    if (adm.overload_activations > 0 || adm.degraded_admits > 0 ||
-        adm.deferrals > 0 || adm.shed_tail > 0)
+    if (adm.overload_activations > 0 || adm.degraded_admits > 0)
       out << "overload ("
           << core::to_string(scenario.options.overload.mode) << "): "
           << adm.overload_activations << " activations, "
-          << adm.degraded_admits << " degraded admits, " << adm.deferrals
-          << " deferrals, " << adm.shed_tail << " tail sheds\n";
+          << adm.degraded_admits << " degraded admits\n";
   }
   const cluster::KernelStats kern = stack->kernel_stats();
   if (kern.settles > 0)

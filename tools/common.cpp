@@ -33,8 +33,8 @@ ScenarioFlags add_scenario_flags(cli::Parser& parser) {
       1.0);
   f.overload_mode = &parser.add<std::string>(
       "overload-mode",
-      "graceful-degradation mode past the load knee: hard-reject | shed-tail "
-      "| relax-sigma | defer-to-salvage | downgrade-qos (docs/OVERLOAD.md)",
+      "overload mode past the load knee: hard-reject | downgrade-qos "
+      "(docs/OVERLOAD.md)",
       "hard-reject");
   f.activation_load = &parser.add<double>(
       "activation-load",
