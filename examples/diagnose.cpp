@@ -83,7 +83,7 @@ int diagnose(int argc, char** argv) {
     std::size_t rej_share = 0, rej_sigma = 0, rej_deadline = 0, rej_node = 0;
     for (const exp::JobOutcome& o : r.outcomes) {
       if (o.underestimated) ++under_total;
-      if (o.verdict == core::AdmissionOutcome::Verdict::DegradedAdmit)
+      if (o.verdict == trace::Verdict::DegradedAdmit)
         ++degraded;
       switch (o.fate) {
         case metrics::JobFate::RejectedAtSubmit:

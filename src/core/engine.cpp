@@ -6,16 +6,6 @@
 
 namespace librisk::core {
 
-const char* to_string(AdmissionOutcome::Verdict verdict) noexcept {
-  switch (verdict) {
-    case AdmissionOutcome::Verdict::Accepted: return "accepted";
-    case AdmissionOutcome::Verdict::Queued: return "queued";
-    case AdmissionOutcome::Verdict::Rejected: return "rejected";
-    case AdmissionOutcome::Verdict::DegradedAdmit: return "degraded_admit";
-  }
-  return "?";
-}
-
 AdmissionEngine::AdmissionEngine(cluster::Cluster cluster, Policy policy,
                                  const PolicyOptions& options)
     : owned_cluster_(std::make_unique<cluster::Cluster>(std::move(cluster))),
@@ -130,18 +120,18 @@ AdmissionOutcome AdmissionEngine::outcome_of(std::int64_t job_id) const {
   switch (r.fate) {
     case metrics::JobFate::RejectedAtSubmit:
     case metrics::JobFate::RejectedAtDispatch:
-      out.verdict = AdmissionOutcome::Verdict::Rejected;
+      out.verdict = trace::Verdict::Rejected;
       out.reason = r.reject_reason;
       return out;
     case metrics::JobFate::Pending:
-      out.verdict = r.started ? AdmissionOutcome::Verdict::Accepted
-                              : AdmissionOutcome::Verdict::Queued;
+      out.verdict = r.started ? trace::Verdict::Accepted
+                              : trace::Verdict::Queued;
       break;
     case metrics::JobFate::FulfilledInTime:
     case metrics::JobFate::CompletedLate:
     case metrics::JobFate::Killed:
       // Zero-runtime jobs can complete inside their own arrival step.
-      out.verdict = AdmissionOutcome::Verdict::Accepted;
+      out.verdict = trace::Verdict::Accepted;
       break;
   }
   // The placement note is only trustworthy for the job just decided:
@@ -150,11 +140,11 @@ AdmissionOutcome AdmissionEngine::outcome_of(std::int64_t job_id) const {
   // upgrades Accepted to DegradedAdmit.
   const Scheduler::Decision& d = scheduler_.last_decision();
   if (d.job_id == job_id &&
-      out.verdict == AdmissionOutcome::Verdict::Accepted) {
+      out.verdict == trace::Verdict::Accepted) {
     out.node = d.node;
     out.sigma = d.sigma;
     out.margin = d.margin;
-    if (d.degraded) out.verdict = AdmissionOutcome::Verdict::DegradedAdmit;
+    if (d.degraded) out.verdict = trace::Verdict::DegradedAdmit;
   }
   return out;
 }

@@ -47,46 +47,13 @@
 #include <vector>
 
 #include "core/factory.hpp"
+#include "trace/event.hpp"
 
 namespace librisk::core {
 
-/// Typed result of one eager admission decision (AdmissionEngine::submit).
-/// What used to require diffing AdmissionStats counters around a submission
-/// — or parsing the .lrt trace — is now returned in-band, per job.
-struct AdmissionOutcome {
-  enum class Verdict : std::uint8_t {
-    Accepted,      ///< started execution at its arrival instant
-    Queued,        ///< admitted to a wait queue; fate still pending
-    Rejected,      ///< shed at submit or at dispatch within the arrival step
-    /// Only produced under DowngradeQoS (core/overload.hpp): the job failed
-    /// the normal test and the relaxed deadline admitted it.
-    DegradedAdmit,
-  };
-
-  std::int64_t job_id = -1;
-  Verdict verdict = Verdict::Queued;
-  /// Which admission test said no. None unless verdict == Rejected.
-  trace::RejectionReason reason = trace::RejectionReason::None;
-  /// First node the job was placed on; -1 when not accepted or when the
-  /// policy does not report placement at admission (space-shared family).
-  std::int32_t node = -1;
-  /// Tentative sigma (Eq. 6) the admission test saw; -1 when no sigma test
-  /// ran (non-ZeroRisk policies, or node == -1).
-  double sigma = -1.0;
-  /// Chosen-node admission margin (signed headroom of the decisive test,
-  /// obs::NodeMargin convention); 0.0 when the policy computes none.
-  double margin = 0.0;
-
-  /// DegradedAdmit counts as accepted: the job IS running — every
-  /// share-accounting guard upstream (gateway, federation) treats it like a
-  /// normal admission, it just carries the degraded provenance.
-  [[nodiscard]] bool accepted() const noexcept {
-    return verdict == Verdict::Accepted || verdict == Verdict::DegradedAdmit;
-  }
-  [[nodiscard]] bool rejected() const noexcept { return verdict == Verdict::Rejected; }
-};
-
-[[nodiscard]] const char* to_string(AdmissionOutcome::Verdict verdict) noexcept;
+/// Typed result of one eager admission decision (AdmissionEngine::submit),
+/// returned in-band per job; never Verdict::Shed.
+using AdmissionOutcome = trace::DecisionRecord;
 
 struct EngineConfig;
 

@@ -327,7 +327,7 @@ void AdmissionGateway::drive() {
       const AdmissionOutcome outcome = engine_->submit(job);
       last_submit_ = job.submit_time;
       decided_.fetch_add(1, std::memory_order_relaxed);
-      if (outcome.verdict == AdmissionOutcome::Verdict::DegradedAdmit)
+      if (outcome.verdict == trace::Verdict::DegradedAdmit)
         degraded_admits_.fetch_add(1, std::memory_order_relaxed);
       if (item.pre_shed && !outcome.rejected()) {
         if (outcome.accepted()) {
@@ -358,18 +358,8 @@ void AdmissionGateway::drive() {
       }
       if (config_.flight_capacity > 0) {
         obs::FlightEntry entry;
-        entry.job_id = job.id;
-        entry.verdict =
-            item.pre_shed ? obs::FlightVerdict::Shed
-            : outcome.verdict == AdmissionOutcome::Verdict::DegradedAdmit
-                ? obs::FlightVerdict::DegradedAdmit
-            : outcome.accepted() ? obs::FlightVerdict::Accepted
-            : outcome.rejected() ? obs::FlightVerdict::Rejected
-                                 : obs::FlightVerdict::Queued;
-        entry.reason = outcome.reason;
-        entry.node = outcome.node;
-        entry.sigma = outcome.sigma;
-        entry.margin = outcome.margin;
+        static_cast<AdmissionOutcome&>(entry) = outcome;
+        if (item.pre_shed) entry.verdict = trace::Verdict::Shed;
         entry.sim_time = job.submit_time;
         entry.queue_wait =
             std::chrono::duration<double>(decide_start - item.enqueued_at)

@@ -319,10 +319,6 @@ void LibraScheduler::on_job_submitted(const Job& job) {
 void LibraScheduler::submit(const Job& job) {
   const sim::SimTime now = sim_.now();
   ++stats_.submissions;
-  const bool explaining = explain_ != nullptr;
-  if (explaining)
-    explain_->begin(now, job.id, job.num_procs, job.deadline,
-                    job.scheduler_estimate);
   const int cluster_size = executor_.cluster().size();
   if (job.num_procs > cluster_size) {
     ++stats_.rejections;
@@ -332,8 +328,6 @@ void LibraScheduler::submit(const Job& job) {
     if (trace_ != nullptr)
       trace_->job_rejected(now, job.id, trace::RejectionReason::NoSuitableNode,
                            0, job.num_procs);
-    if (explaining)
-      explain_->finish_reject(trace::RejectionReason::NoSuitableNode, 0, 0.0);
     return;
   }
   executor_.sync();
@@ -360,18 +354,10 @@ void LibraScheduler::submit(const Job& job) {
       // the admission outcome (Scheduler::Decision).
       const bool ok = node_suitable(n, job, fit, &sigma);
       scan_metric_[static_cast<std::size_t>(n)] = fit;
-      if (tracing || explaining) {
-        const double margin = config_.capacity - fit;  // Eq. 2 headroom
-        if (tracing)
-          trace_->node_evaluated(
-              now, job.id, n,
-              ok ? trace::RejectionReason::None : scan_reason(), sigma, fit,
-              margin);
-        if (explaining)
-          explain_->node(obs::NodeMargin{
-              n, ok, ok ? trace::RejectionReason::None : scan_reason(), sigma,
-              fit, margin});
-      }
+      if (tracing)
+        trace_->node_evaluated(
+            now, job.id, n, ok ? trace::RejectionReason::None : scan_reason(),
+            sigma, fit, config_.capacity - fit);  // Eq. 2 headroom
       if (ok) {
         suitable_.push_back(Candidate{n, fit, sigma});
         if (can_stop_early &&
@@ -399,9 +385,6 @@ void LibraScheduler::submit(const Job& job) {
       trace_->job_rejected(now, job.id, scan_reason(),
                            static_cast<int>(suitable_.size()), job.num_procs,
                            margin);
-    if (explaining)
-      explain_->finish_reject(scan_reason(),
-                              static_cast<int>(suitable_.size()), margin);
     LIBRISK_LOG(Debug) << name_ << ": rejected job " << job.id << " ("
                        << suitable_.size() << '/' << job.num_procs
                        << " suitable nodes)";
@@ -424,9 +407,6 @@ void LibraScheduler::submit(const Job& job) {
     trace_->job_admitted(now, job.id, suitable_[0].node,
                          static_cast<int>(suitable_.size()), suitable_[0].fit,
                          margin);
-  if (explaining)
-    explain_->finish_accept(suitable_[0].node, margin,
-                            static_cast<int>(suitable_.size()));
   collector_.record_started(job, now, job.actual_runtime / slowest);
   executor_.start(job, std::move(chosen));
 }
@@ -449,13 +429,12 @@ void LibraScheduler::scan_zero_risk_batched(const Job& job, sim::SimTime now,
   const bool empty_fast =
       config_.risk.rule == RiskConfig::Rule::SigmaOnly &&
       0.0 <= config_.risk.sigma_threshold + config_.risk.tolerance;
-  const bool explaining = explain_ != nullptr;
   AssessNodesOptions options;
   // The σ-spread bound rejects without computing the exact σ the
-  // node_evaluated event and the explain record must carry, so it only arms
-  // when neither observer is attached (decisions are identical either way —
-  // the bound is conservative).
-  options.allow_bound_skip = !tracing && !explaining;
+  // node_evaluated event must carry, so it only arms when no trace sink is
+  // attached (decisions are identical either way — the bound is
+  // conservative).
+  options.allow_bound_skip = !tracing;
 
   std::size_t chunk = kBatchChunkMin;
   int next = 0;
@@ -503,20 +482,12 @@ void LibraScheduler::scan_zero_risk_batched(const Job& job, sim::SimTime now,
       scan_metric_[static_cast<std::size_t>(n)] =
           verdict.bound_skipped ? std::numeric_limits<double>::infinity()
                                 : verdict.sigma;
-      if (tracing || explaining) {
-        const double margin = config_.risk.sigma_threshold - verdict.sigma;
-        if (tracing)
-          trace_->node_evaluated(now, job.id, n,
-                                 verdict.suitable
-                                     ? trace::RejectionReason::None
-                                     : scan_reason(),
-                                 verdict.sigma, verdict.total_share, margin);
-        if (explaining)
-          explain_->node(obs::NodeMargin{
-              n, verdict.suitable,
-              verdict.suitable ? trace::RejectionReason::None : scan_reason(),
-              verdict.sigma, verdict.total_share, margin});
-      }
+      if (tracing)
+        trace_->node_evaluated(
+            now, job.id, n,
+            verdict.suitable ? trace::RejectionReason::None : scan_reason(),
+            verdict.sigma, verdict.total_share,
+            config_.risk.sigma_threshold - verdict.sigma);
       if (verdict.suitable) {
         suitable_.push_back(Candidate{n, verdict.total_share, verdict.sigma});
         if (can_stop_early &&

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "metrics/collector.hpp"
-#include "obs/explain.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/simulator.hpp"
 #include "support/hooks.hpp"
@@ -52,7 +51,7 @@ struct AdmissionStats {
   /// within 5% / 10% of the test's scale (share: node capacity; sigma:
   /// max(sigma_threshold, 1); deadline: the job's relative deadline). The
   /// 10% counters include the 5% ones. Exact when margins are observed
-  /// (trace/explain attached); conservative — an undercount — when the
+  /// (a trace sink attached); conservative — an undercount — when the
   /// batch spread bound skipped exact sigmas, same caveat as
   /// `nodes_batch_skipped`.
   std::uint64_t near_miss_share_5 = 0;
@@ -143,7 +142,6 @@ class Scheduler {
   void attach(const Hooks& hooks) {
     trace_ = hooks.trace;
     telemetry_ = hooks.telemetry;
-    explain_ = hooks.explain;
     profiler_ = hooks.telemetry != nullptr ? &hooks.telemetry->profiler() : nullptr;
     if (hooks.telemetry != nullptr) on_telemetry(*hooks.telemetry);
   }
@@ -171,8 +169,6 @@ class Scheduler {
   trace::Recorder* trace_ = nullptr;
   /// Borrowed, may be null.
   obs::Telemetry* telemetry_ = nullptr;
-  /// Borrowed, may be null; subclasses record decision provenance through it.
-  obs::ExplainRecorder* explain_ = nullptr;
   /// Cached &telemetry_->profiler(), null when telemetry is absent — so
   /// ScopedPhase sites pay a single null check.
   obs::PhaseProfiler* profiler_ = nullptr;

@@ -89,11 +89,6 @@ void SpaceSharedScheduler::reject(const Job& job, trace::RejectionReason reason,
   collector_.record_rejected(job, sim_.now(), at_dispatch, reason);
   if (trace_ != nullptr)
     trace_->job_rejected(sim_.now(), job.id, reason, 0, job.num_procs, margin);
-  if (explain_ != nullptr) {
-    explain_->begin(sim_.now(), job.id, job.num_procs, job.deadline,
-                    job.scheduler_estimate);
-    explain_->finish_reject(reason, 0, margin);
-  }
   LIBRISK_LOG(Debug) << name_ << ": rejected job " << job.id
                      << (at_dispatch ? " at dispatch" : " at submission");
 }

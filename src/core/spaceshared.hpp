@@ -87,8 +87,9 @@ class SpaceSharedScheduler final : public Scheduler {
   /// Counters in the shared AdmissionStats shape. There is no node scan, so
   /// only submissions/accepted/rejections, the reason attribution, the
   /// deadline near-miss pair (dispatch-time rejections) and the overload
-  /// outcomes are populated. A job counts as accepted when it starts, and
-  /// provenance records (Hooks::explain) are emitted for rejections only.
+  /// outcomes are populated. A job counts as accepted when it starts, so
+  /// only rejections emit a decision event (an ExplainRecorder sink keeps
+  /// exactly those).
   [[nodiscard]] const AdmissionStats& admission_stats() const noexcept {
     return stats_;
   }
@@ -110,7 +111,7 @@ class SpaceSharedScheduler final : public Scheduler {
   /// false when none qualifies.
   bool backfill(const Job& head);
   void start_job(const Job& job);
-  /// The one rejection path: stats, collector, trace and explain.
+  /// The one rejection path: stats, collector and trace.
   void reject(const Job& job, trace::RejectionReason reason, bool at_dispatch,
               double margin = 0.0);
   /// Where `job` goes in the queue to keep it in dispatch order.

@@ -3,12 +3,17 @@
 #include <algorithm>
 
 #include "support/check.hpp"
+#include "trace/recorder.hpp"
 
 namespace librisk::exp {
 
 ScenarioResult run_with_margins(Scenario scenario,
                                 obs::ExplainRecorder& recorder) {
-  scenario.options.hooks.explain = &recorder;
+  LIBRISK_CHECK(scenario.options.hooks.trace == nullptr,
+                "run_with_margins attaches its own trace recorder; the "
+                "scenario already sets hooks.trace");
+  trace::Recorder tracer(recorder);
+  scenario.options.hooks.trace = &tracer;
   return run_scenario(scenario);
 }
 

@@ -4,7 +4,7 @@
 // The paper's risk knob (Fig. 6) is the sigma threshold of the zero-risk
 // test. Sweeping it naively costs one full simulation per probed value.
 // But the sigma-only test `sigma <= threshold + tolerance` is monotone in
-// sigma, and a run recorded through an obs::ExplainRecorder knows the
+// sigma, and a run whose trace feeds an obs::ExplainRecorder knows the
 // extremes of every sigma it tested (SigmaExtremes): the largest sigma that
 // passed and the smallest that failed. For any probe threshold T' where
 //
@@ -51,9 +51,11 @@ struct CounterfactualSweep {
   std::uint64_t replays = 0;
 };
 
-/// Runs the scenario with `recorder` attached through Hooks::explain (on a
-/// copy — the caller's scenario is untouched). The recorder's extremes are
-/// complete for the run; its retained decisions follow its own config.
+/// Runs the scenario with `recorder` attached as the sink of a
+/// trace::Recorder in Hooks::trace (on a copy — the caller's scenario is
+/// untouched, and must not set hooks.trace itself: CheckError). The
+/// recorder's extremes are complete for the run; its retained decisions
+/// follow its own config.
 [[nodiscard]] ScenarioResult run_with_margins(Scenario scenario,
                                               obs::ExplainRecorder& recorder);
 

@@ -46,7 +46,7 @@ struct JobOutcome {
   /// job's final word is still `fate`). Renderers must not fold it into
   /// plain accepted — it is the job the overload mode exists to account
   /// for.
-  core::AdmissionOutcome::Verdict verdict = core::AdmissionOutcome::Verdict::Queued;
+  trace::Verdict verdict = trace::Verdict::Queued;
   double delay = 0.0;
   double slowdown = 0.0;
   bool underestimated = false;  ///< user_estimate < actual_runtime

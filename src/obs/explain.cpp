@@ -9,82 +9,73 @@ namespace librisk::obs {
 
 ExplainRecorder::ExplainRecorder(ExplainConfig config) : config_(config) {}
 
-void ExplainRecorder::begin(sim::SimTime time, std::int64_t job_id,
-                            int num_procs, double deadline, double estimate) {
-  current_ = DecisionExplain{};
-  current_.time = time;
-  current_.job_id = job_id;
-  current_.num_procs = num_procs;
-  current_.deadline = deadline;
-  current_.estimate = estimate;
-  in_flight_ = true;
-}
-
-void ExplainRecorder::node(const NodeMargin& m) {
-  // Extremes fold every sigma evaluation, retained or not: the stability
-  // interval must certify the complete verdict sequence.
-  if (m.sigma >= 0.0) {
-    if (m.suitable) {
-      extremes_.pass_max = std::max(extremes_.pass_max, m.sigma);
-      ++extremes_.passes;
-    } else if (m.test == trace::RejectionReason::RiskSigma) {
-      extremes_.fail_min = std::min(extremes_.fail_min, m.sigma);
-      ++extremes_.fails;
+void ExplainRecorder::write(const trace::Event& e) {
+  switch (e.kind) {
+    case trace::EventKind::JobSubmitted: {
+      if (config_.capacity == 0 ||
+          (config_.only_job >= 0 && e.job != config_.only_job))
+        return;  // never retained: the decision only counts
+      DecisionExplain& d = pending_[e.job];
+      d = DecisionExplain{};
+      d.job_id = e.job;
+      d.num_procs = e.node;  // JobSubmitted stores num_procs in `node`
+      d.deadline = e.a;
+      d.estimate = e.b;
+      return;
     }
+    case trace::EventKind::NodeEvaluated: {
+      const NodeMargin m{e.node, e.reason == trace::RejectionReason::None,
+                         e.reason, e.a, e.b, e.margin};
+      // Extremes fold every sigma evaluation, retained or not: the
+      // stability interval must certify the complete verdict sequence.
+      if (m.sigma >= 0.0) {
+        if (m.suitable) {
+          extremes_.pass_max = std::max(extremes_.pass_max, m.sigma);
+          ++extremes_.passes;
+        } else if (m.test == trace::RejectionReason::RiskSigma) {
+          extremes_.fail_min = std::min(extremes_.fail_min, m.sigma);
+          ++extremes_.fails;
+        }
+      }
+      const auto it = pending_.find(e.job);
+      if (it != pending_.end()) it->second.nodes.push_back(m);
+      return;
+    }
+    case trace::EventKind::JobAdmitted:
+    case trace::EventKind::JobRejected:
+      decide(e);
+      return;
+    case trace::EventKind::JobStarted:
+      pending_.erase(e.job);
+      return;
+    default:
+      return;  // lifecycle events past the decision carry no margin context
   }
-  if (!in_flight_) return;
-  current_.nodes.push_back(m);
 }
 
-namespace {
-
-bool retained(const ExplainConfig& config, const DecisionExplain& d) noexcept {
-  if (config.capacity == 0) return false;
-  if (config.only_job >= 0 && d.job_id != config.only_job) return false;
-  if (config.only_rejections && d.accepted) return false;
-  return true;
-}
-
-}  // namespace
-
-void ExplainRecorder::finish_accept(std::int32_t chosen_node,
-                                    double chosen_margin, int suitable) {
-  if (!in_flight_) return;
-  in_flight_ = false;
-  current_.accepted = true;
-  current_.reason = trace::RejectionReason::None;
-  current_.suitable = suitable;
-  current_.chosen_node = chosen_node;
-  current_.margin = chosen_margin;
+void ExplainRecorder::decide(const trace::Event& e) {
   ++recorded_;
-  if (!retained(config_, current_)) {
+  const bool accepted = e.kind == trace::EventKind::JobAdmitted;
+  auto pending = pending_.extract(e.job);
+  if (pending.empty() || (config_.only_rejections && accepted)) {
     ++dropped_;
     return;
   }
-  if (!config_.keep_nodes) current_.nodes.clear();
-  ring_.push_back(std::move(current_));
-  while (ring_.size() > config_.capacity) {
-    ring_.pop_front();
-    ++dropped_;
+  DecisionExplain& d = pending.mapped();
+  d.time = e.time;
+  d.suitable = static_cast<int>(e.a);
+  d.margin = e.margin;
+  if (accepted) {
+    d.verdict = trace::Verdict::Accepted;
+    d.node = e.node;
+    for (const NodeMargin& m : d.nodes)
+      if (m.node == d.node) d.sigma = m.sigma;
+  } else {
+    d.verdict = trace::Verdict::Rejected;
+    d.reason = e.reason;
   }
-}
-
-void ExplainRecorder::finish_reject(trace::RejectionReason reason,
-                                    int suitable, double job_margin) {
-  if (!in_flight_) return;
-  in_flight_ = false;
-  current_.accepted = false;
-  current_.reason = reason;
-  current_.suitable = suitable;
-  current_.chosen_node = -1;
-  current_.margin = job_margin;
-  ++recorded_;
-  if (!retained(config_, current_)) {
-    ++dropped_;
-    return;
-  }
-  if (!config_.keep_nodes) current_.nodes.clear();
-  ring_.push_back(std::move(current_));
+  if (!config_.keep_nodes) d.nodes = {};
+  ring_.push_back(std::move(d));
   while (ring_.size() > config_.capacity) {
     ring_.pop_front();
     ++dropped_;
@@ -99,22 +90,22 @@ const DecisionExplain* ExplainRecorder::find(std::int64_t job_id) const noexcept
 
 void ExplainRecorder::clear() {
   ring_.clear();
-  in_flight_ = false;
+  pending_.clear();
   extremes_ = SigmaExtremes{};
   recorded_ = 0;
   dropped_ = 0;
 }
 
 double required_improvement(const DecisionExplain& d) noexcept {
-  return d.accepted ? 0.0 : std::max(0.0, -d.margin);
+  return d.accepted() ? 0.0 : std::max(0.0, -d.margin);
 }
 
 std::string describe(const DecisionExplain& d) {
   std::ostringstream os;
   os << "job " << d.job_id << " @ t=" << d.time << "  (procs=" << d.num_procs
      << ", deadline=" << d.deadline << ", estimate=" << d.estimate << ")\n";
-  if (d.accepted) {
-    os << "  ACCEPTED on node " << d.chosen_node << " (" << d.suitable
+  if (d.accepted()) {
+    os << "  ACCEPTED on node " << d.node << " (" << d.suitable
        << " suitable node(s); chosen-node margin " << d.margin << ")\n";
   } else {
     os << "  REJECTED: " << trace::to_string(d.reason) << " (" << d.suitable

@@ -4,15 +4,22 @@
 // The admission path decides with inequalities — total share vs capacity
 // (Eq. 2), sigma vs the risk threshold (Eq. 6), best-case finish vs the
 // deadline — but the aggregate surfaces only keep the verdicts. An
-// ExplainRecorder, attached through Hooks::explain, captures the *margins*:
-// for every submission, each candidate node the scan touched with the
-// signed headroom of its decisive test, plus a job-level margin that says
-// what it would have taken to flip the decision. Detached it costs the hot
-// path one pointer compare per submission (the same contract as
-// trace::Recorder); attached it never changes a decision — it forces the
-// scan to compute exact sigmas (disabling the batch spread-bound skip,
-// exactly like tracing does), which alters effort counters but is proven
-// decision-neutral (tests/test_explain.cpp holds traces byte-identical).
+// ExplainRecorder captures the *margins*: for every decision, each
+// candidate node the scan touched with the signed headroom of its decisive
+// test, plus a job-level margin that says what it would have taken to flip
+// the decision.
+//
+// It is a trace::Sink folding the trace event stream, the one decision
+// record: attach it through a trace::Recorder in Hooks::trace, or write a
+// recorded .lrt file's events into it — the same fold either way, so
+// `librisk-sim explain` and `trace explain` print the same records.
+// JobSubmitted opens a pending record, NodeEvaluated adds a node margin,
+// JobAdmitted/JobRejected close it at the decision instant, and JobStarted
+// drops a space-shared admission (that family accepts by starting a job,
+// with no decision event), so memory stays bounded by the wait queue. Like
+// any live sink it forces exact sigmas (no batch spread-bound skip), which
+// alters effort counters but is proven decision-neutral
+// (tests/test_explain.cpp holds traces byte-identical).
 //
 // Margin sign convention (shared with trace Event::margin, see
 // docs/TRACING.md "Margins"): margin >= 0 means the test passed with that
@@ -33,20 +40,21 @@
 // what exp::sweep_sigma_thresholds exploits to recompute the paper's
 // risk-knob curve from one run (docs/MODEL.md "threshold stability").
 //
-// Thread affinity: single-threaded, called only from the thread driving the
-// simulator (the gateway's drive thread in concurrent front-ends), like
-// every other hook.
+// Thread affinity: single-threaded, written only from the thread driving
+// the simulator (the gateway's drive thread in concurrent front-ends), like
+// every other sink.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <limits>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hpp"
 #include "trace/event.hpp"
+#include "trace/sink.hpp"
 
 namespace librisk::obs {
 
@@ -64,21 +72,16 @@ struct NodeMargin {
   double margin = 0.0;
 };
 
-/// One admission decision with its full margin context.
-struct DecisionExplain {
-  std::int64_t job_id = -1;
-  sim::SimTime time = 0.0;
+/// One admission decision (Accepted or Rejected) with its margin context.
+/// An accept's node/sigma/margin are the engine's AdmissionOutcome; a
+/// reject's margin is the job-level one (header comment), 0.0 when none
+/// applies (e.g. NoSuitableNode).
+struct DecisionExplain : trace::DecisionRecord {
+  sim::SimTime time = 0.0;  ///< the decision instant
   int num_procs = 1;
   double deadline = 0.0;  ///< relative deadline at submission
   double estimate = 0.0;  ///< scheduler runtime estimate at submission
-  bool accepted = false;
-  trace::RejectionReason reason = trace::RejectionReason::None;
-  int suitable = 0;            ///< suitable nodes the scan found
-  std::int32_t chosen_node = -1;  ///< first chosen node (accepts)
-  /// Job-level signed margin: accepts carry the chosen node's headroom,
-  /// rejects carry -(smallest improvement that would have admitted), see
-  /// header comment. 0.0 when no margin applies (e.g. NoSuitableNode).
-  double margin = 0.0;
+  int suitable = 0;       ///< suitable nodes the scan found
   /// Per-node margins in scan order; empty for policies without a node
   /// scan (EDF family) or when ExplainConfig::keep_nodes is off.
   std::vector<NodeMargin> nodes;
@@ -119,26 +122,12 @@ struct ExplainConfig {
   bool keep_nodes = true;
 };
 
-class ExplainRecorder {
+class ExplainRecorder final : public trace::Sink {
  public:
   explicit ExplainRecorder(ExplainConfig config = {});
 
-  // ---- recording protocol (scheduler-facing, one decision at a time) ----
-
-  /// Opens a decision record at submission.
-  void begin(sim::SimTime time, std::int64_t job_id, int num_procs,
-             double deadline, double estimate);
-  /// Adds one evaluated node; also folds sigma into the extremes.
-  void node(const NodeMargin& m);
-  /// Closes the open record as an acceptance.
-  void finish_accept(std::int32_t chosen_node, double chosen_margin,
-                     int suitable);
-  /// Closes the open record as a rejection. `job_margin` follows the
-  /// job-level convention above (<= 0).
-  void finish_reject(trace::RejectionReason reason, int suitable,
-                     double job_margin);
-
-  // ---- queries ----
+  /// Folds one trace event (see header comment); other kinds are ignored.
+  void write(const trace::Event& event) override;
 
   [[nodiscard]] const ExplainConfig& config() const noexcept { return config_; }
   /// Retained decisions, oldest first.
@@ -157,10 +146,14 @@ class ExplainRecorder {
   void clear();
 
  private:
+  /// Closes and retains the job's pending record (JobAdmitted/JobRejected).
+  void decide(const trace::Event& event);
+
   ExplainConfig config_;
   std::deque<DecisionExplain> ring_;
-  DecisionExplain current_;
-  bool in_flight_ = false;
+  /// Submitted jobs awaiting their decision event (the current scan, or a
+  /// space-shared wait queue); jobs the filters never retain get none.
+  std::unordered_map<std::int64_t, DecisionExplain> pending_;
   SigmaExtremes extremes_;
   std::uint64_t recorded_ = 0;
   std::uint64_t dropped_ = 0;

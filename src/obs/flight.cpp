@@ -6,17 +6,6 @@
 
 namespace librisk::obs {
 
-const char* to_string(FlightVerdict verdict) noexcept {
-  switch (verdict) {
-    case FlightVerdict::Accepted: return "accepted";
-    case FlightVerdict::Queued: return "queued";
-    case FlightVerdict::Rejected: return "rejected";
-    case FlightVerdict::Shed: return "shed";
-    case FlightVerdict::DegradedAdmit: return "degraded_admit";
-  }
-  return "?";
-}
-
 FlightRecorder::FlightRecorder(FlightConfig config)
     : config_(config),
       queue_wait_(config_.latency),
@@ -87,7 +76,8 @@ std::string FlightRecorder::dump() const {
   table::Table t({"job", "verdict", "reason", "node", "sigma", "margin",
                   "sim_t", "wait_us", "decide_us"});
   for (const FlightEntry& e : entries) {
-    t.add_row({std::to_string(e.job_id), to_string(e.verdict),
+    t.add_row({std::to_string(e.job_id),
+               std::string(trace::to_string(e.verdict)),
                e.reason == trace::RejectionReason::None
                    ? "-"
                    : std::string(trace::to_string(e.reason)),

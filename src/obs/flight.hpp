@@ -6,11 +6,11 @@
 // thread while producers only see a coarse SubmitStatus. When a shed spike
 // or a latency stall hits, the aggregate counters say *that* it happened but
 // not *what* the decisions around it looked like. The flight recorder keeps
-// exactly that: a bounded ring of the most recent decisions — verdict,
-// reason, chosen node, sigma, admission margin, queue wait and decide
-// latency — plus two wall-clock histograms (queue-wait and decide latency)
-// that the gateway merges into its registry at close() for OpenMetrics
-// export.
+// exactly that: a bounded ring of the most recent decisions — the engine's
+// trace::DecisionRecord (verdict, reason, chosen node, sigma, admission
+// margin) plus queue wait and decide latency — and two wall-clock
+// histograms (queue-wait and decide latency) that the gateway merges into
+// its registry at close() for OpenMetrics export.
 //
 // Threading: record() is called from the single drive thread; snapshot(),
 // the histogram copies and dump() may be called from any thread (the
@@ -29,29 +29,13 @@
 
 namespace librisk::obs {
 
-/// Decision verdict as the gateway saw it (mirrors
-/// core::AdmissionOutcome::Verdict, plus Shed for fast-rejected jobs that
-/// never reached the engine — obs sits below core, so the enum is restated
-/// here rather than included).
-enum class FlightVerdict : std::uint8_t {
-  Accepted,
-  Queued,
-  Rejected,
-  Shed,
-  /// Admitted through the DowngradeQoS bend (core/overload.hpp).
-  DegradedAdmit,
-};
+/// bench/e2e spells trace::Verdict this way; drop the alias with that
+/// benchmark's next change.
+using FlightVerdict = trace::Verdict;
 
-[[nodiscard]] const char* to_string(FlightVerdict verdict) noexcept;
-
-/// One decision as recorded by the gateway drive loop.
-struct FlightEntry {
-  std::int64_t job_id = -1;
-  FlightVerdict verdict = FlightVerdict::Queued;
-  trace::RejectionReason reason = trace::RejectionReason::None;
-  std::int32_t node = -1;     ///< placement; -1 when not accepted/reported
-  double sigma = -1.0;        ///< tentative sigma; -1 when none ran
-  double margin = 0.0;        ///< chosen-node admission margin (accepts)
+/// One decision as recorded by the gateway drive loop: the engine's
+/// AdmissionOutcome (with Shed for pre-shed jobs) plus its timing.
+struct FlightEntry : trace::DecisionRecord {
   double sim_time = 0.0;      ///< simulation clock at the decision
   double queue_wait = 0.0;    ///< wall seconds from enqueue to decision
   double decide_latency = 0.0;  ///< wall seconds the drive loop spent deciding

@@ -25,24 +25,20 @@ class Recorder;
 }
 namespace librisk::obs {
 class Telemetry;
-class ExplainRecorder;
 }
 
 namespace librisk {
 
 struct Hooks {
   /// Decision-audit event recorder; null emits nothing and perturbs nothing.
+  /// Every consumer of the decision record is a sink behind it: the .lrt
+  /// and JSONL writers, and obs::ExplainRecorder for margin records.
   trace::Recorder* trace = nullptr;
   /// Live metrics/series/profiling hub; null costs one branch per hook site.
   obs::Telemetry* telemetry = nullptr;
-  /// Decision-provenance recorder (per-submission margin records,
-  /// docs/OBSERVABILITY.md); null costs one branch per submission. Like
-  /// tracing, attaching forces exact sigma evaluation (no batch spread-bound
-  /// skips) — effort counters change, decisions never do.
-  obs::ExplainRecorder* explain = nullptr;
 
   [[nodiscard]] bool any() const noexcept {
-    return trace != nullptr || telemetry != nullptr || explain != nullptr;
+    return trace != nullptr || telemetry != nullptr;
   }
 };
 

@@ -33,6 +33,17 @@ std::string_view to_string(RejectionReason reason) noexcept {
   return "?";
 }
 
+std::string_view to_string(Verdict verdict) noexcept {
+  switch (verdict) {
+    case Verdict::Accepted: return "accepted";
+    case Verdict::Queued: return "queued";
+    case Verdict::Rejected: return "rejected";
+    case Verdict::DegradedAdmit: return "degraded_admit";
+    case Verdict::Shed: return "shed";
+  }
+  return "?";
+}
+
 EventKind parse_event_kind(std::string_view name) {
   for (int raw = 1; raw <= kEventKindCount; ++raw) {
     const auto kind = static_cast<EventKind>(raw);

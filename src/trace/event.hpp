@@ -50,8 +50,46 @@ enum class RejectionReason : std::uint8_t {
 };
 inline constexpr int kRejectionReasonCount = 5;
 
+/// What one admission decision came to, in every per-job view.
+enum class Verdict : std::uint8_t {
+  Accepted,       ///< started execution at its arrival instant
+  Queued,         ///< admitted to a wait queue; fate still pending
+  Rejected,       ///< refused at submit or at dispatch within the arrival step
+  DegradedAdmit,  ///< admitted through the DowngradeQoS bend (core/overload.hpp)
+  Shed,           ///< fast-rejected at the gateway's gate (flight recorder only)
+};
+
+/// One admission decision: core::AdmissionOutcome, and the base of
+/// obs::FlightEntry (plus timing) and obs::DecisionExplain (plus margins).
+struct DecisionRecord {
+  std::int64_t job_id = -1;
+  Verdict verdict = Verdict::Queued;
+  /// Which admission test said no. None unless verdict == Rejected.
+  RejectionReason reason = RejectionReason::None;
+  /// First node the job was placed on; -1 when not accepted or when the
+  /// policy does not report placement at admission (space-shared family).
+  std::int32_t node = -1;
+  /// Tentative sigma (Eq. 6) the admission test saw on `node`; -1 when no
+  /// sigma test ran (non-ZeroRisk policies, or node == -1).
+  double sigma = -1.0;
+  /// Signed headroom of the decisive test (Event::margin convention);
+  /// 0.0 when the policy computes none.
+  double margin = 0.0;
+
+  /// DegradedAdmit counts as accepted: the job IS running — every
+  /// share-accounting guard upstream (gateway, federation) treats it like a
+  /// normal admission, it just carries the degraded provenance.
+  [[nodiscard]] bool accepted() const noexcept {
+    return verdict == Verdict::Accepted || verdict == Verdict::DegradedAdmit;
+  }
+  [[nodiscard]] bool rejected() const noexcept {
+    return verdict == Verdict::Rejected;
+  }
+};
+
 [[nodiscard]] std::string_view to_string(EventKind kind) noexcept;
 [[nodiscard]] std::string_view to_string(RejectionReason reason) noexcept;
+[[nodiscard]] std::string_view to_string(Verdict verdict) noexcept;
 /// Inverse of to_string; throws std::invalid_argument on unknown names.
 [[nodiscard]] EventKind parse_event_kind(std::string_view name);
 [[nodiscard]] RejectionReason parse_rejection_reason(std::string_view name);

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <cctype>
 #include <cstdint>
@@ -25,6 +26,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -527,6 +529,47 @@ TEST(GatewayFlight, RecordsEveryDecisionAndShedCertificatesSum) {
   }
 }
 
+TEST(GatewayFlight, EntriesAreEngineOutcomes) {
+  // A flight entry is the engine's AdmissionOutcome plus timing: with one
+  // producer and a ring holding every decision, each non-shed entry equals
+  // what a direct engine returns for the same job, bit for bit, and the
+  // shed entries are exactly the gate's fast rejections.
+  const cluster::Cluster cluster = cluster::Cluster::homogeneous(8, 168.0);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const core::Policy policy :
+       {core::Policy::Libra, core::Policy::LibraRisk, core::Policy::Edf}) {
+    const std::vector<Job> jobs = spectrum_trace(21, 300, 8, 0.4);
+    core::GatewayConfig config = gateway_config(cluster, policy);
+    config.flight_capacity = jobs.size();
+    core::AdmissionGateway gateway(std::move(config));
+    for (const Job& job : jobs) (void)gateway.submit(job);
+    gateway.close();
+
+    const auto engine = engine_for(cluster, policy);
+    std::unordered_map<std::int64_t, core::AdmissionOutcome> direct;
+    for (const Job& job : jobs) direct.emplace(job.id, engine->submit(job));
+    engine->finish();
+
+    const std::vector<obs::FlightEntry> entries = gateway.flight().snapshot();
+    ASSERT_EQ(entries.size(), jobs.size()) << core::to_string(policy);
+    std::uint64_t shed = 0;
+    for (const obs::FlightEntry& e : entries) {
+      if (e.verdict == trace::Verdict::Shed) {
+        ++shed;
+        continue;
+      }
+      const core::AdmissionOutcome& o = direct.at(e.job_id);
+      EXPECT_EQ(e.job_id, o.job_id);
+      EXPECT_EQ(e.verdict, o.verdict) << "job " << e.job_id;
+      EXPECT_EQ(e.reason, o.reason) << "job " << e.job_id;
+      EXPECT_EQ(e.node, o.node) << "job " << e.job_id;
+      EXPECT_EQ(bits(e.sigma), bits(o.sigma)) << "job " << e.job_id;
+      EXPECT_EQ(bits(e.margin), bits(o.margin)) << "job " << e.job_id;
+    }
+    EXPECT_EQ(shed, gateway.stats().fast_rejected) << core::to_string(policy);
+  }
+}
+
 TEST(GatewayFlight, CapacityZeroDisablesTheRecorder) {
   core::GatewayConfig config = gateway_config(
       cluster::Cluster::homogeneous(8, 168.0), core::Policy::LibraRisk);
@@ -739,7 +782,7 @@ TEST(EngineOutcome, SpaceSharedBacklogReportsQueued) {
           .accepted());
   const core::AdmissionOutcome second =
       engine->submit(JobBuilder(2).submit(2.0).set_runtime(500.0).deadline(5000.0));
-  EXPECT_EQ(second.verdict, core::AdmissionOutcome::Verdict::Queued);
+  EXPECT_EQ(second.verdict, trace::Verdict::Queued);
   EXPECT_FALSE(second.accepted());
   EXPECT_FALSE(second.rejected());
   engine->finish();

@@ -597,10 +597,10 @@ TEST(FlightRecorder, CapacityZeroDisablesRecording) {
 }
 
 TEST(FlightRecorder, VerdictStringsAndEntryDefaults) {
-  EXPECT_STREQ(obs::to_string(obs::FlightVerdict::Accepted), "accepted");
-  EXPECT_STREQ(obs::to_string(obs::FlightVerdict::Queued), "queued");
-  EXPECT_STREQ(obs::to_string(obs::FlightVerdict::Rejected), "rejected");
-  EXPECT_STREQ(obs::to_string(obs::FlightVerdict::Shed), "shed");
+  EXPECT_EQ(trace::to_string(obs::FlightVerdict::Accepted), "accepted");
+  EXPECT_EQ(trace::to_string(obs::FlightVerdict::Queued), "queued");
+  EXPECT_EQ(trace::to_string(obs::FlightVerdict::Rejected), "rejected");
+  EXPECT_EQ(trace::to_string(obs::FlightVerdict::Shed), "shed");
   const obs::FlightEntry e;
   EXPECT_EQ(e.node, -1);
   EXPECT_EQ(e.sigma, -1.0);

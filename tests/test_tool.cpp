@@ -4,6 +4,7 @@
 
 #include "core/factory.hpp"
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -115,6 +116,56 @@ TEST(Tool, WorkloadWritesSwfThatReplayReads) {
   EXPECT_EQ(replay.exit_code, 0) << replay.err;
   EXPECT_NE(replay.out.find("jobs: 150"), std::string::npos);
   EXPECT_NE(replay.out.find("LibraRisk"), std::string::npos);
+}
+
+TEST(Tool, StreamingReplayModesAgree) {
+  const std::string swf_path = ::testing::TempDir() + "/tool_stream.swf";
+  ASSERT_EQ(run_tool("workload", {"--jobs", "400", "--out", swf_path,
+                                  "--deadlines=false"})
+                .exit_code,
+            0);
+  // The summary table is the output's first block.
+  const auto summary = [](const std::string& out) {
+    return out.substr(0, out.find("\n\n"));
+  };
+  const ToolResult direct = run_tool("replay", {"--trace", swf_path, "--stream"});
+  ASSERT_EQ(direct.exit_code, 0) << direct.err;
+  EXPECT_NE(direct.out.find("400 jobs streamed"), std::string::npos);
+  // One producer through the gateway decides exactly as the direct engine.
+  const ToolResult gateway =
+      run_tool("replay", {"--trace", swf_path, "--stream", "--threads", "1"});
+  ASSERT_EQ(gateway.exit_code, 0) << gateway.err;
+  EXPECT_NE(gateway.out.find("1 producer(s), 400 submitted"), std::string::npos);
+  EXPECT_EQ(summary(direct.out), summary(gateway.out));
+
+  const ToolResult federated =
+      run_tool("replay", {"--trace", swf_path, "--stream", "--shards", "2"});
+  ASSERT_EQ(federated.exit_code, 0) << federated.err;
+  EXPECT_NE(federated.out.find("400 jobs routed"), std::string::npos);
+  std::remove(swf_path.c_str());
+}
+
+TEST(Tool, ExplainAndTraceExplainPrintTheSameDecision) {
+  // EDF queues job 292 and rejects it at dispatch, well after its
+  // submission: the live run and the recorded trace both report the
+  // decision instant, through the same fold.
+  const std::string lrt = ::testing::TempDir() + "/tool_explain_edf.lrt";
+  const ToolResult rec = run_tool(
+      "trace", {"record", "--policy", "EDF", "--jobs", "300", "--nodes", "32",
+                "--seed", "1", "--margins", "--out", lrt});
+  ASSERT_EQ(rec.exit_code, 0) << rec.err;
+  const ToolResult live = run_tool(
+      "explain", {"--policy", "EDF", "--jobs", "300", "--nodes", "32", "--job", "292"});
+  ASSERT_EQ(live.exit_code, 0) << live.err;
+  const ToolResult offline =
+      run_tool("trace", {"explain", "--in", lrt, "--job", "292"});
+  ASSERT_EQ(offline.exit_code, 0) << offline.err;
+
+  const std::string block = live.out.substr(0, live.out.find("\n\n") + 1);
+  EXPECT_EQ(block, offline.out);
+  EXPECT_NE(block.find("job 292 @ t=699745"), std::string::npos) << block;
+  EXPECT_NE(block.find("REJECTED: deadline_infeasible"), std::string::npos);
+  std::remove(lrt.c_str());
 }
 
 TEST(Tool, ConfigFileDrivesRun) {

@@ -3,11 +3,12 @@
 #include "obs/explain.hpp"
 #include "support/table.hpp"
 #include "tools/common.hpp"
+#include "trace/recorder.hpp"
 
 namespace librisk::tool {
 
-/// `librisk-sim explain`: run a scenario with an obs::ExplainRecorder
-/// attached and print the margin record of every retained decision — which
+/// `librisk-sim explain`: run a scenario with an obs::ExplainRecorder as its
+/// trace sink and print the margin record of every retained decision — which
 /// nodes the scan touched, the signed headroom of each admission test, and
 /// for rejections the smallest improvement that would have flipped the
 /// verdict. Attaching the recorder never changes a decision (it forces
@@ -41,7 +42,8 @@ int cmd_explain(const std::vector<std::string>& args, std::ostream& out) {
   explain_config.only_rejections = rejections_opt.value;
   explain_config.keep_nodes = !no_nodes_opt.value;
   obs::ExplainRecorder recorder(explain_config);
-  scenario.options.hooks.explain = &recorder;
+  trace::Recorder tracer(recorder);
+  scenario.options.hooks.trace = &tracer;
 
   const exp::ScenarioResult r = exp::run_jobs(scenario, jobs);
 

@@ -42,10 +42,45 @@ struct ReplayFlags {
   core::OverloadConfig overload;      ///< degradation mode for every engine
 };
 
+/// The --stream job source shared by every streaming mode: SWF line →
+/// deadline synthesis (when the trace carries none) → estimate inaccuracy
+/// → load scaling, one job at a time. The synthesis helpers are
+/// batch-shaped but strictly sequential per job, and the deadline RNG
+/// stream persists across jobs, so an all-missing trace gets the same
+/// deadlines the batch path assigns.
+struct JobSource {
+  explicit JobSource(const ReplayFlags& f)
+      : stream(f.trace),
+        deadline_rng("deadlines", f.seed),
+        inaccuracy(f.inaccuracy),
+        scaler(f.load_scale) {
+    deadlines.high_urgency_fraction = f.high_urgency;
+    deadlines.high_low_ratio = f.ratio;
+  }
+
+  /// The next job, ready to submit; false at the end of the trace.
+  bool next(workload::Job& job) {
+    if (!stream.next(one[0])) return false;
+    if (one[0].deadline <= 0.0)
+      workload::assign_deadlines(one, deadlines, deadline_rng);
+    workload::apply_inaccuracy(one, inaccuracy);
+    scaler.apply(one[0]);
+    job = one[0];
+    return true;
+  }
+
+  workload::swf::SwfStream stream;
+  workload::DeadlineConfig deadlines;
+  rng::Stream deadline_rng;
+  double inaccuracy;
+  workload::InterarrivalScaler scaler;
+  std::vector<workload::Job> one = std::vector<workload::Job>(1);
+};
+
 /// Concurrent streaming replay: N producer threads feed the
-/// core::AdmissionGateway. The SWF stream and the deadline-synthesis RNG
-/// are shared under one mutex so per-job synthesis stays identical to the
-/// single-threaded path; the gateway's drive thread makes every decision.
+/// core::AdmissionGateway. The job source is shared under one mutex so
+/// per-job synthesis and load scaling stay identical to the single-threaded
+/// path; the gateway's drive thread makes every decision.
 /// With one producer the decision trace is byte-identical to the direct
 /// engine path; with several, only the queue interleaving differs.
 int run_gateway(const ReplayFlags& f, core::Policy policy,
@@ -62,26 +97,17 @@ int run_gateway(const ReplayFlags& f, core::Policy policy,
   config.engine.options.overload = f.overload;
   core::AdmissionGateway gateway(std::move(config));
 
-  workload::swf::SwfStream stream(f.trace);
-  workload::DeadlineConfig dl_config;
-  dl_config.high_urgency_fraction = f.high_urgency;
-  dl_config.high_low_ratio = f.ratio;
-  rng::Stream dl_stream("deadlines", f.seed);
-  workload::InterarrivalScaler scaler(f.load_scale);
+  JobSource source(f);
   std::mutex source_mutex;
 
   const auto produce = [&] {
-    std::vector<workload::Job> one(1);
+    workload::Job job;
     for (;;) {
       {
         std::lock_guard<std::mutex> lock(source_mutex);
-        if (!stream.next(one[0])) return;
-        if (one[0].deadline <= 0.0)
-          workload::assign_deadlines(one, dl_config, dl_stream);
-        workload::apply_inaccuracy(one, f.inaccuracy);
-        scaler.apply(one[0]);  // under the lock: arrival-order anchoring
+        if (!source.next(job)) return;
       }
-      if (gateway.submit(one[0]) == core::SubmitStatus::Closed) return;
+      if (gateway.submit(job) == core::SubmitStatus::Closed) return;
     }
   };
   std::vector<std::thread> producers;
@@ -133,12 +159,8 @@ int run_gateway(const ReplayFlags& f, core::Policy policy,
         << us(decide.quantile(50.0)) << "/" << us(decide.quantile(99.0))
         << " us\n";
   }
-  const core::AdmissionStats adm = gateway.engine().admission_stats();
-  if (adm.near_miss_10() > 0)
-    out << "near-miss rejections: " << adm.near_miss_5() << " within 5%, "
-        << adm.near_miss_10() << " within 10% of flipping (share "
-        << adm.near_miss_share_10 << ", sigma " << adm.near_miss_sigma_10
-        << ", deadline " << adm.near_miss_deadline_10 << ")\n";
+  // The overload line above comes from the gateway's own counters.
+  print_admission_notes(out, gateway.engine().admission_stats(), std::nullopt);
   if (!telemetry_out.empty()) {
     telemetry.write_dir(telemetry_out);
     out << "telemetry written to " << telemetry_out << " ("
@@ -150,9 +172,7 @@ int run_gateway(const ReplayFlags& f, core::Policy policy,
 /// Streaming replay: pipe the SWF file line-at-a-time through a long-lived
 /// AdmissionEngine. Job objects in memory stay proportional to the
 /// resident/pending set, so arbitrarily long traces replay in bounded
-/// space. Deadlines are synthesised per job *as it streams* when the trace
-/// carries none; the deadline RNG stream persists across jobs, so an
-/// all-missing trace gets the same deadlines the batch path assigns.
+/// space.
 int run_streaming(const ReplayFlags& f, core::Policy policy,
                   const std::string& telemetry_out, double telemetry_period,
                   std::ostream& out) {
@@ -170,26 +190,11 @@ int run_streaming(const ReplayFlags& f, core::Policy policy,
   const std::unique_ptr<core::AdmissionEngine> engine =
       core::make_engine(std::move(engine_config));
 
-  workload::swf::SwfStream stream(f.trace);
-  workload::DeadlineConfig dl_config;
-  dl_config.high_urgency_fraction = f.high_urgency;
-  dl_config.high_low_ratio = f.ratio;
-  rng::Stream dl_stream("deadlines", f.seed);
-
-  // Single-element scratch vector: the synthesis helpers are batch-shaped
-  // but strictly sequential per job, so feeding them one job at a time with
-  // a persistent RNG stream reproduces the batch sequence exactly.
-  workload::InterarrivalScaler scaler(f.load_scale);
-  std::vector<workload::Job> one(1);
+  JobSource source(f);
   workload::Job job;
-  while (stream.next(job)) {
-    one[0] = job;
-    if (one[0].deadline <= 0.0)
-      workload::assign_deadlines(one, dl_config, dl_stream);
-    workload::apply_inaccuracy(one, f.inaccuracy);
-    scaler.apply(one[0]);
-    engine->advance_to(one[0].submit_time);
-    engine->submit(one[0]);
+  while (source.next(job)) {
+    engine->advance_to(job.submit_time);
+    engine->submit(job);
   }
   if (engine->jobs_submitted() == 0)
     throw cli::ParseError("trace contains no usable jobs");
@@ -197,20 +202,11 @@ int run_streaming(const ReplayFlags& f, core::Policy policy,
 
   metrics::print_summary(out, std::string(core::to_string(policy)),
                          engine->summary());
-  out << "\nstreaming: " << stream.jobs_returned() << " jobs streamed ("
-      << stream.jobs_skipped() << " skipped), peak resident "
-      << engine->peak_live_jobs() << " job objects of "
-      << engine->jobs_submitted() << " submitted\n";
-  const core::AdmissionStats adm = engine->admission_stats();
-  if (adm.near_miss_10() > 0)
-    out << "near-miss rejections: " << adm.near_miss_5() << " within 5%, "
-        << adm.near_miss_10() << " within 10% of flipping (share "
-        << adm.near_miss_share_10 << ", sigma " << adm.near_miss_sigma_10
-        << ", deadline " << adm.near_miss_deadline_10 << ")\n";
-  if (adm.overload_activations > 0 || adm.degraded_admits > 0)
-    out << "overload (" << core::to_string(f.overload.mode)
-        << "): " << adm.overload_activations << " activations, "
-        << adm.degraded_admits << " degraded admits\n";
+  out << "\nstreaming: " << source.stream.jobs_returned()
+      << " jobs streamed (" << source.stream.jobs_skipped()
+      << " skipped), peak resident " << engine->peak_live_jobs()
+      << " job objects of " << engine->jobs_submitted() << " submitted\n";
+  print_admission_notes(out, engine->admission_stats(), f.overload.mode);
   if (!telemetry_out.empty()) {
     telemetry.write_dir(telemetry_out);
     out << "telemetry written to " << telemetry_out << " ("
@@ -255,23 +251,9 @@ int run_federation(const ReplayFlags& f, core::Policy policy,
   config.overload = f.overload;
   federation::Federation fed(std::move(config));
 
-  workload::swf::SwfStream stream(f.trace);
-  workload::DeadlineConfig dl_config;
-  dl_config.high_urgency_fraction = f.high_urgency;
-  dl_config.high_low_ratio = f.ratio;
-  rng::Stream dl_stream("deadlines", f.seed);
-  workload::InterarrivalScaler scaler(f.load_scale);
-
-  std::vector<workload::Job> one(1);
+  JobSource source(f);
   workload::Job job;
-  while (stream.next(job)) {
-    one[0] = job;
-    if (one[0].deadline <= 0.0)
-      workload::assign_deadlines(one, dl_config, dl_stream);
-    workload::apply_inaccuracy(one, f.inaccuracy);
-    scaler.apply(one[0]);
-    fed.submit(one[0]);
-  }
+  while (source.next(job)) fed.submit(job);
   fed.finish();
 
   const federation::FederationSummary summary = fed.summary();

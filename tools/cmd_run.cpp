@@ -72,17 +72,7 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out) {
     if (adm.batched_assessments > 0 || adm.nodes_batch_skipped > 0)
       out << "batched risk: " << adm.batched_assessments << " assessments, "
           << adm.nodes_batch_skipped << " bound skips\n";
-    if (adm.near_miss_10() > 0) {
-      out << "near-miss rejections: " << adm.near_miss_5() << " within 5%, "
-          << adm.near_miss_10() << " within 10% of flipping (share "
-          << adm.near_miss_share_10 << ", sigma " << adm.near_miss_sigma_10
-          << ", deadline " << adm.near_miss_deadline_10 << ")\n";
-    }
-    if (adm.overload_activations > 0 || adm.degraded_admits > 0)
-      out << "overload ("
-          << core::to_string(scenario.options.overload.mode) << "): "
-          << adm.overload_activations << " activations, "
-          << adm.degraded_admits << " degraded admits\n";
+    print_admission_notes(out, adm, scenario.options.overload.mode);
   }
   const cluster::KernelStats kern = stack->kernel_stats();
   if (kern.settles > 0)

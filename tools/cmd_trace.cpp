@@ -105,9 +105,9 @@ int cmd_trace_diff(const std::vector<std::string>& args, std::ostream& out) {
   return d.identical() ? 0 : 1;
 }
 
-/// Rebuilds one job's DecisionExplain from its trace events. The trace is
-/// sequential per job — JobSubmitted, the NodeEvaluated scan, then exactly
-/// one JobAdmitted or JobRejected — so a single pass suffices.
+/// Rebuilds one job's DecisionExplain by writing the file's events into an
+/// obs::ExplainRecorder — the same fold `librisk-sim explain` runs live, so
+/// both print the same record.
 int cmd_trace_explain(const std::vector<std::string>& args, std::ostream& out) {
   cli::Parser parser("librisk-sim trace explain",
                      "Reconstruct one job's admission decision from a trace");
@@ -121,54 +121,25 @@ int cmd_trace_explain(const std::vector<std::string>& args, std::ostream& out) {
   const auto job_id = static_cast<std::int64_t>(job_opt.value);
 
   const trace::TraceData data = trace::read_trace_file(in_opt.value);
-  obs::DecisionExplain d;
+  obs::ExplainRecorder recorder(
+      obs::ExplainConfig{.capacity = 1, .only_job = job_id});
   bool submitted = false;
-  bool decided = false;
   for (const trace::Event& e : data.events) {
-    if (e.job != job_id || decided) continue;
-    switch (e.kind) {
-      case trace::EventKind::JobSubmitted:
-        d.job_id = e.job;
-        d.time = e.time;
-        d.num_procs = e.node;  // JobSubmitted stores num_procs in `node`
-        d.deadline = e.a;
-        d.estimate = e.b;
-        submitted = true;
-        break;
-      case trace::EventKind::NodeEvaluated:
-        d.nodes.push_back(obs::NodeMargin{
-            e.node, e.reason == trace::RejectionReason::None, e.reason, e.a,
-            e.b, e.margin});
-        break;
-      case trace::EventKind::JobAdmitted:
-        d.accepted = true;
-        d.chosen_node = e.node;
-        d.suitable = static_cast<int>(e.a);
-        d.margin = e.margin;
-        decided = true;
-        break;
-      case trace::EventKind::JobRejected:
-        d.accepted = false;
-        d.reason = e.reason;
-        d.suitable = static_cast<int>(e.a);
-        d.margin = e.margin;
-        decided = true;
-        break;
-      default:
-        break;  // lifecycle events past the decision carry no margin context
-    }
+    submitted |= e.job == job_id && e.kind == trace::EventKind::JobSubmitted;
+    recorder.write(e);
   }
-  if (!submitted && !decided)
+  const obs::DecisionExplain* d = recorder.find(job_id);
+  if (d == nullptr && !submitted)
     throw cli::ParseError("job " + std::to_string(job_id) +
                           " does not appear in " + in_opt.value);
-  if (!decided)
+  if (d == nullptr)
     throw cli::ParseError("job " + std::to_string(job_id) +
                           " was submitted but never decided in " +
                           in_opt.value);
   if (!data.has_margins)
     out << "note: trace was recorded without margins (record with --margins); "
            "margins below are 0\n";
-  out << obs::describe(d);
+  out << obs::describe(*d);
   return 0;
 }
 

@@ -1,8 +1,8 @@
 #include "tools/common.hpp"
 
+#include <ostream>
 #include <stdexcept>
 
-#include "core/overload.hpp"
 #include "workload/lublin.hpp"
 #include "workload/predictor.hpp"
 
@@ -114,6 +114,19 @@ std::vector<workload::Job> workload_from_flags(const ScenarioFlags& f,
                                 : cfg.number_or("load_scale", f.load_scale->value);
   if (load_scale != 1.0) workload::scale_interarrivals(jobs, load_scale);
   return jobs;
+}
+
+void print_admission_notes(std::ostream& out, const core::AdmissionStats& adm,
+                           std::optional<core::DegradedMode> overload) {
+  if (adm.near_miss_10() > 0)
+    out << "near-miss rejections: " << adm.near_miss_5() << " within 5%, "
+        << adm.near_miss_10() << " within 10% of flipping (share "
+        << adm.near_miss_share_10 << ", sigma " << adm.near_miss_sigma_10
+        << ", deadline " << adm.near_miss_deadline_10 << ")\n";
+  if (overload && (adm.overload_activations > 0 || adm.degraded_admits > 0))
+    out << "overload (" << core::to_string(*overload) << "): "
+        << adm.overload_activations << " activations, "
+        << adm.degraded_admits << " degraded admits\n";
 }
 
 }  // namespace librisk::tool

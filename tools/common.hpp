@@ -5,9 +5,11 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/overload.hpp"
 #include "exp/scenario.hpp"
 #include "support/cli.hpp"
 #include "support/json.hpp"
@@ -54,6 +56,11 @@ exp::Scenario scenario_from_flags(const ScenarioFlags& f, const json::Value& cfg
 std::vector<workload::Job> workload_from_flags(const ScenarioFlags& f,
                                                const json::Value& cfg,
                                                const exp::Scenario& s);
+
+/// The notes under a run's summary: the near-miss line, and with `overload`
+/// the overload line; each prints only when its counters are non-zero.
+void print_admission_notes(std::ostream& out, const core::AdmissionStats& adm,
+                           std::optional<core::DegradedMode> overload);
 
 // ---- per-command entry points ----
 
