@@ -77,7 +77,8 @@ TimeSharedExecutor::TimeSharedExecutor(sim::Simulator& simulator,
   node_tasks_.resize(n);
   node_serial_.assign(n, 1);
   node_cache_.resize(n);
-  multi_pos_.assign(n, -1);
+  multi_.pos.assign(n, -1);
+  occupied_.pos.assign(n, -1);
   node_demand_.assign(n, 0.0);
   node_touched_serial_.assign(n, 0);
   node_demand_serial_.assign(n, 0);
@@ -121,7 +122,8 @@ void TimeSharedExecutor::start(const Job& job, std::vector<NodeId> nodes) {
     node_jobs_[n].push_back(job.id);
     node_tasks_[n].push_back(&it->second);
     ++node_serial_[n];
-    if (node_tasks_[n].size() == 2) multi_add(n);
+    if (node_tasks_[n].size() == 1) occupied_.add(n);
+    if (node_tasks_[n].size() == 2) multi_.add(n);
     start_touched_.push_back(n);
   }
   if (trace_ != nullptr)
@@ -279,6 +281,15 @@ double TimeSharedExecutor::demand_of(const Task& task, sim::SimTime now) const {
                                       config_.deadline_clamp));
 }
 
+double TimeSharedExecutor::settle_demand(Task& task, sim::SimTime now,
+                                         std::uint64_t serial) const {
+  if (task.demand_serial != serial) {
+    task.demand = demand_of(task, now);
+    task.demand_serial = serial;
+  }
+  return task.demand;
+}
+
 void TimeSharedExecutor::reanchor(Task& task, sim::SimTime now) {
   if (now == task.anchor_time) return;
   const double progress = task.rate * (now - task.anchor_time);
@@ -317,7 +328,8 @@ void TimeSharedExecutor::remove_task_from_nodes(Task& task) {
     auto& tasks = node_tasks_[n];
     tasks.erase(std::remove(tasks.begin(), tasks.end(), &task), tasks.end());
     ++node_serial_[n];
-    if (multi_pos_[n] >= 0 && tasks.size() < 2) multi_remove(n);
+    if (multi_.contains(n) && tasks.size() < 2) multi_.remove(n);
+    if (tasks.empty()) occupied_.remove(n);
   }
   if (task.heap_pos >= 0) bheap_remove(&task);
 }
@@ -335,19 +347,18 @@ void TimeSharedExecutor::mark_dirty(Task* task) {
   dirty_.push_back(task);
 }
 
-void TimeSharedExecutor::multi_add(NodeId node) {
-  multi_pos_[static_cast<std::size_t>(node)] =
-      static_cast<std::int32_t>(multi_nodes_.size());
-  multi_nodes_.push_back(node);
+void TimeSharedExecutor::NodeSet::add(NodeId node) {
+  pos[static_cast<std::size_t>(node)] = static_cast<std::int32_t>(nodes.size());
+  nodes.push_back(node);
 }
 
-void TimeSharedExecutor::multi_remove(NodeId node) {
-  const std::int32_t pos = multi_pos_[static_cast<std::size_t>(node)];
-  const NodeId last = multi_nodes_.back();
-  multi_nodes_[static_cast<std::size_t>(pos)] = last;
-  multi_pos_[static_cast<std::size_t>(last)] = pos;
-  multi_nodes_.pop_back();
-  multi_pos_[static_cast<std::size_t>(node)] = -1;
+void TimeSharedExecutor::NodeSet::remove(NodeId node) {
+  const std::int32_t slot = pos[static_cast<std::size_t>(node)];
+  const NodeId last = nodes.back();
+  nodes[static_cast<std::size_t>(slot)] = last;
+  pos[static_cast<std::size_t>(last)] = slot;
+  nodes.pop_back();
+  pos[static_cast<std::size_t>(node)] = -1;
 }
 
 bool TimeSharedExecutor::boundary_before(const Task* a, const Task* b) noexcept {
@@ -562,7 +573,7 @@ void TimeSharedExecutor::settle_and_reschedule() {
       // Work-conserving pacing: an isolated task's allocation is exactly
       // 1.0 whatever its demand (d / (d + 0) == 1), so drift only matters
       // where residents contend — the multi-tenant nodes.
-      for (const NodeId n : multi_nodes_)
+      for (const NodeId n : multi_.nodes)
         for (Task* const t : node_tasks_[n]) mark_dirty(t);
     }
     for (const NodeId n : touched_nodes_)
@@ -575,7 +586,10 @@ void TimeSharedExecutor::settle_and_reschedule() {
 
   // Fresh demand sums for every node a dirty task touches (other entries of
   // node_demand_ are stale, but only these are read below). Per-node
-  // accumulation order is resident start order (docs/MODEL.md §3.1).
+  // accumulation order is resident start order (docs/MODEL.md §3.1). A gang
+  // task's demand is computed once here and reused on its other nodes and
+  // in the rate pass: nothing below changes a task before its last read,
+  // and a reanchor at `now` leaves work_at(now) bitwise unchanged.
   demand_nodes_.clear();
   for (const Task* const t : dirty_)
     for (const NodeId n : t->nodes) {
@@ -586,13 +600,13 @@ void TimeSharedExecutor::settle_and_reschedule() {
   for (const NodeId n : demand_nodes_) {
     const double speed = cluster_.speed_factor(n);
     double sum = 0.0;
-    for (const Task* const t : node_tasks_[n])
-      sum += std::min(1.0, demand_of(*t, now) / speed);
+    for (Task* const t : node_tasks_[n])
+      sum += std::min(1.0, settle_demand(*t, now, serial) / speed);
     node_demand_[static_cast<std::size_t>(n)] = sum;
   }
 
   for (Task* const t : dirty_) {
-    const double d = demand_of(*t, now);
+    const double d = settle_demand(*t, now, serial);
     double rate = sim::kTimeInfinity;
     for (const NodeId n : t->nodes) {
       const double speed = cluster_.speed_factor(n);
@@ -680,6 +694,25 @@ void TimeSharedExecutor::notify_and_reclaim(std::vector<const Job*>& completed,
   overrun_buf_ = std::move(overruns);
 }
 
+void TimeSharedExecutor::check_node_set(const NodeSet& set,
+                                        std::size_t min_residents,
+                                        const char* name) const {
+  std::size_t expected = 0;
+  for (NodeId n = 0; n < cluster_.size(); ++n) {
+    const std::int32_t pos = set.pos[static_cast<std::size_t>(n)];
+    LIBRISK_CHECK((node_tasks_[static_cast<std::size_t>(n)].size() >=
+                   min_residents) == (pos >= 0),
+                  "node " << n << " " << name << " index out of date");
+    if (pos < 0) continue;
+    LIBRISK_CHECK(static_cast<std::size_t>(pos) < set.nodes.size() &&
+                      set.nodes[static_cast<std::size_t>(pos)] == n,
+                  "node " << n << " " << name << " position stale");
+    ++expected;
+  }
+  LIBRISK_CHECK(expected == set.nodes.size(),
+                "node list of the " << name << " index out of sync");
+}
+
 void TimeSharedExecutor::check_invariants() const {
   // Node lists and task node sets agree.
   std::size_t listed = 0;
@@ -693,7 +726,6 @@ void TimeSharedExecutor::check_invariants() const {
       ++listed;
     }
   }
-  std::size_t multi_expected = 0;
   for (NodeId n = 0; n < cluster_.size(); ++n) {
     const auto& ids = node_jobs_[static_cast<std::size_t>(n)];
     const auto& ptrs = node_tasks_[static_cast<std::size_t>(n)];
@@ -702,18 +734,9 @@ void TimeSharedExecutor::check_invariants() const {
     for (std::size_t i = 0; i < ids.size(); ++i)
       LIBRISK_CHECK(ptrs[i]->job->id == ids[i],
                     "node " << n << " task pointer mismatch at slot " << i);
-    const std::int32_t pos = multi_pos_[static_cast<std::size_t>(n)];
-    LIBRISK_CHECK((ids.size() >= 2) == (pos >= 0),
-                  "node " << n << " multi-tenant index out of date");
-    if (pos >= 0) {
-      LIBRISK_CHECK(static_cast<std::size_t>(pos) < multi_nodes_.size() &&
-                        multi_nodes_[static_cast<std::size_t>(pos)] == n,
-                    "node " << n << " multi-tenant position stale");
-      ++multi_expected;
-    }
   }
-  LIBRISK_CHECK(multi_expected == multi_nodes_.size(),
-                "multi-tenant node list out of sync");
+  check_node_set(multi_, 2, "multi-tenant");
+  check_node_set(occupied_, 1, "occupied");
 
   std::size_t expected = 0;
   std::size_t queued = 0;

@@ -203,6 +203,11 @@ class TimeSharedExecutor {
   [[nodiscard]] bool is_running(JobId id) const noexcept;
   /// Jobs currently on a node, in start order.
   [[nodiscard]] const std::vector<JobId>& node_jobs(NodeId node) const;
+  /// The nodes with at least one resident, in unspecified order. Valid
+  /// until the next start, completion or kill.
+  [[nodiscard]] std::span<const NodeId> occupied_nodes() const noexcept {
+    return occupied_.nodes;
+  }
   [[nodiscard]] TaskView view(JobId id) const;
   /// Total demanded share on a node under the raw-estimate belief
   /// (Libra's Eq. 2) or the current-estimate reality.
@@ -266,6 +271,10 @@ class TimeSharedExecutor {
     bool bump_pending = false;
     std::int32_t heap_pos = -1;      ///< boundary-heap slot, -1 = not queued
     std::uint64_t dirty_serial = 0;  ///< settle serial when last marked dirty
+    /// demand_of(*this, now) memoised for one settle: valid while
+    /// demand_serial equals the settle serial.
+    double demand = 0.0;
+    std::uint64_t demand_serial = 0;
   };
   struct Killed {
     const Job* job;
@@ -292,6 +301,10 @@ class TimeSharedExecutor {
   /// set). Ties resolve to completion.
   void refresh_boundary(Task& task);
   [[nodiscard]] double demand_of(const Task& task, sim::SimTime now) const;
+  /// demand_of at the current settle's instant, computed at most once per
+  /// settle (the task's state does not change between its reads there).
+  [[nodiscard]] double settle_demand(Task& task, sim::SimTime now,
+                                     std::uint64_t serial) const;
   void remove_task_from_nodes(Task& task);
   void notify_and_reclaim(std::vector<const Job*>& completed,
                           std::vector<Killed>& killed,
@@ -300,8 +313,21 @@ class TimeSharedExecutor {
   // Dirty-set bookkeeping.
   void touch_node(NodeId node);
   void mark_dirty(Task* task);
-  void multi_add(NodeId node);
-  void multi_remove(NodeId node);
+
+  /// A dense subset of the nodes with a per-node position index, for O(1)
+  /// membership updates; iteration order is unspecified.
+  struct NodeSet {
+    std::vector<NodeId> nodes;
+    std::vector<std::int32_t> pos;  ///< slot in `nodes`, -1 = absent
+    [[nodiscard]] bool contains(NodeId node) const noexcept {
+      return pos[static_cast<std::size_t>(node)] >= 0;
+    }
+    void add(NodeId node);
+    void remove(NodeId node);
+  };
+  /// Checks that `set` holds exactly the nodes with >= `min_residents`.
+  void check_node_set(const NodeSet& set, std::size_t min_residents,
+                      const char* name) const;
 
   // Intrusive binary min-heap of running tasks keyed by (boundary, job id).
   [[nodiscard]] static bool boundary_before(const Task* a, const Task* b) noexcept;
@@ -371,11 +397,11 @@ class TimeSharedExecutor {
   mutable KernelStats stats_;  ///< mutable: node_state() counts view rebuilds
   std::uint64_t settle_serial_ = 0;
   std::vector<Task*> bheap_;            ///< boundary min-heap
-  /// Nodes with >= 2 residents (the only ones where work-conserving pacing
-  /// rates drift with time), with a per-node position index for O(1)
-  /// membership updates.
-  std::vector<NodeId> multi_nodes_;
-  std::vector<std::int32_t> multi_pos_;
+  /// Nodes with >= 2 residents: the only ones where work-conserving pacing
+  /// rates drift with time.
+  NodeSet multi_;
+  /// Nodes with >= 1 resident: the only ones an admission scan must read.
+  NodeSet occupied_;
   /// Per-settle workspaces (member-owned so steady-state settles allocate
   /// nothing; serial stamps replace clearing).
   std::vector<double> node_demand_;

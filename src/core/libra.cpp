@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 
 #include "support/check.hpp"
 #include "support/log.hpp"
@@ -55,6 +56,17 @@ LibraScheduler::LibraScheduler(sim::Simulator& simulator,
         config_.estimate_kind == cluster::TimeSharedExecutor::EstimateKind::Raw
             ? cluster::kStateSharesRaw
             : cluster::kStateSharesCurrent;
+  }
+  const cluster::Cluster& machine = executor_.cluster();
+  std::map<double, std::uint32_t> class_of_speed;
+  node_class_.resize(static_cast<std::size_t>(machine.size()));
+  for (cluster::NodeId n = 0; n < machine.size(); ++n) {
+    const double speed = machine.speed_factor(n);
+    const auto [it, added] = class_of_speed.try_emplace(
+        speed, static_cast<std::uint32_t>(speed_classes_.size()));
+    if (added) speed_classes_.push_back(SpeedClass{speed, {}});
+    speed_classes_[it->second].nodes.push_back(n);
+    node_class_[static_cast<std::size_t>(n)] = it->second;
   }
   executor_.set_completion_handler(
       [this](const Job& job, sim::SimTime finish) {
@@ -146,9 +158,18 @@ void LibraScheduler::select_prefix(int count) {
   const auto worst = [](const Candidate& a, const Candidate& b) {
     return a.fit != b.fit ? a.fit < b.fit : a.node < b.node;
   };
+  const auto by_node = [](const Candidate& a, const Candidate& b) {
+    return a.node < b.node;
+  };
   switch (config_.selection) {
     case LibraConfig::Selection::FirstFit:
-      return;  // already in node order
+      if (config_.admission == LibraConfig::Admission::ZeroRisk)
+        return;  // the scan stopped at count suitable nodes, in node order
+      if (static_cast<std::size_t>(count) < suitable_.size())
+        std::nth_element(suitable_.begin(), suitable_.begin() + count,
+                         suitable_.end(), by_node);
+      std::sort(suitable_.begin(), suitable_.begin() + count, by_node);
+      return;
     case LibraConfig::Selection::BestFit:
       if (static_cast<std::size_t>(count) < suitable_.size())
         std::nth_element(suitable_.begin(), suitable_.begin() + count,
@@ -177,7 +198,7 @@ void LibraScheduler::on_telemetry(obs::Telemetry& telemetry) {
   reg.counter_fn("admission_assessments", "full share/risk evaluations run",
                  [this] { return stats_.assessments; });
   reg.counter_fn("admission_empty_node_skips",
-                 "ZeroRisk empty-node fast-path hits",
+                 "idle nodes decided without reading their view",
                  [this] { return stats_.empty_node_skips; });
   reg.counter_fn("admission_early_exits",
                  "FirstFit scans stopped before the last node",
@@ -284,16 +305,30 @@ double LibraScheduler::reject_job_margin(const Job& job, int suitable_count) {
   const bool share = config_.admission == LibraConfig::Admission::TotalShare;
   const double floor = share ? config_.capacity : config_.risk.sigma_threshold;
   const double tol = share ? config_.tolerance : config_.risk.tolerance;
-  fail_deficit_.clear();
-  for (const double metric : scan_metric_) {
-    const double d = metric - floor;
-    if (d > tol) fail_deficit_.push_back(d);
-  }
   // The smallest per-node improvement that would have admitted the job:
   // it needed k = num_procs - suitable more suitable nodes, so the k-th
   // smallest failing-node deficit is decisive. nth_element scrambles
   // fail_deficit_, which is dead after this call.
   const int k = job.num_procs - suitable_count;
+  fail_deficit_.clear();
+  const auto note = [&](double metric, int copies) {
+    const double d = metric - floor;
+    if (d > tol)
+      fail_deficit_.insert(fail_deficit_.end(),
+                           static_cast<std::size_t>(copies), d);
+  };
+  if (share) {
+    // Eq. 2 kept per-node metrics for the occupied nodes only. An idle
+    // class contributes its deficit once per idle node, but copies beyond
+    // the k-th cannot move the k-th smallest.
+    for (const cluster::NodeId n : executor_.occupied_nodes())
+      note(scan_metric_[static_cast<std::size_t>(n)], 1);
+    for (const SpeedClass& c : speed_classes_)
+      note(c.idle_fit,
+           std::min(static_cast<int>(c.nodes.size()) - c.occupied, k));
+  } else {
+    for (const double metric : scan_metric_) note(metric, 1);
+  }
   double deficit = std::numeric_limits<double>::infinity();
   if (k >= 1 && static_cast<int>(fail_deficit_.size()) >= k) {
     std::nth_element(fail_deficit_.begin(), fail_deficit_.begin() + (k - 1),
@@ -337,61 +372,44 @@ void LibraScheduler::submit(const Job& job) {
   if (suitable_.capacity() < static_cast<std::size_t>(cluster_size))
     suitable_.reserve(cluster_size);
   const bool tracing = trace_ != nullptr && trace_->enabled();
-  // FirstFit takes suitable nodes in node order, so the scan can stop at
-  // num_procs hits: acceptance and the chosen sequence are already decided,
-  // and a rejection (< num_procs suitable anywhere) still scans everything.
-  const bool can_stop_early = config_.selection == LibraConfig::Selection::FirstFit;
+  const bool total_share =
+      config_.admission == LibraConfig::Admission::TotalShare;
   const std::uint64_t scanned_before = stats_.nodes_scanned;
-  if (config_.admission == LibraConfig::Admission::ZeroRisk) {
-    scan_zero_risk_batched(job, now, tracing, can_stop_early);
+  int suitable = 0;
+  if (total_share) {
+    suitable = scan_total_share(job);
   } else {
-    for (cluster::NodeId n = 0; n < cluster_size; ++n) {
-      ++stats_.nodes_scanned;
-      double fit = 0.0;
-      double sigma = -1.0;
-      // sigma is a by-product of the assessment either way; capturing it
-      // unconditionally costs one store and feeds both the trace event and
-      // the admission outcome (Scheduler::Decision).
-      const bool ok = node_suitable(n, job, fit, &sigma);
-      scan_metric_[static_cast<std::size_t>(n)] = fit;
-      if (tracing)
-        trace_->node_evaluated(
-            now, job.id, n, ok ? trace::RejectionReason::None : scan_reason(),
-            sigma, fit, config_.capacity - fit);  // Eq. 2 headroom
-      if (ok) {
-        suitable_.push_back(Candidate{n, fit, sigma});
-        if (can_stop_early &&
-            static_cast<int>(suitable_.size()) == job.num_procs) {
-          if (n + 1 < cluster_size) ++stats_.early_exits;
-          break;
-        }
-      }
-    }
+    // FirstFit takes suitable nodes in node order, so the scan can stop at
+    // num_procs hits: acceptance and the chosen sequence are already
+    // decided, and a rejection (< num_procs suitable anywhere) still scans
+    // everything.
+    scan_zero_risk_batched(job, now, tracing,
+                           config_.selection == LibraConfig::Selection::FirstFit);
+    suitable = static_cast<int>(suitable_.size());
   }
+  const bool accepted = suitable >= job.num_procs;
+  if (accepted) select_prefix(job.num_procs);
+  if (total_share) cover_total_share(job, now, tracing, accepted);
   if (scan_nodes_hist_ != nullptr)
     scan_nodes_hist_->record(
         static_cast<double>(stats_.nodes_scanned - scanned_before));
 
-  if (static_cast<int>(suitable_.size()) < job.num_procs) {
+  if (!accepted) {
     ++stats_.rejections;
-    if (config_.admission == LibraConfig::Admission::TotalShare)
+    if (total_share)
       ++stats_.rejected_share_overflow;
     else
       ++stats_.rejected_risk_sigma;
-    const double margin =
-        reject_job_margin(job, static_cast<int>(suitable_.size()));
+    const double margin = reject_job_margin(job, suitable);
     collector_.record_rejected(job, now, /*at_dispatch=*/false, scan_reason());
     if (trace_ != nullptr)
-      trace_->job_rejected(now, job.id, scan_reason(),
-                           static_cast<int>(suitable_.size()), job.num_procs,
+      trace_->job_rejected(now, job.id, scan_reason(), suitable, job.num_procs,
                            margin);
     LIBRISK_LOG(Debug) << name_ << ": rejected job " << job.id << " ("
-                       << suitable_.size() << '/' << job.num_procs
+                       << suitable << '/' << job.num_procs
                        << " suitable nodes)";
     return;
   }
-
-  select_prefix(job.num_procs);
 
   std::vector<cluster::NodeId> chosen;
   chosen.reserve(job.num_procs);
@@ -403,12 +421,90 @@ void LibraScheduler::submit(const Job& job) {
   ++stats_.accepted;
   const double margin = node_margin(suitable_[0].fit, suitable_[0].sigma);
   note_decision(job.id, suitable_[0].node, suitable_[0].sigma, margin);
+  // A FirstFit decision stops at its num_procs-th suitable node, so that is
+  // the suitable count it saw.
   if (trace_ != nullptr)
-    trace_->job_admitted(now, job.id, suitable_[0].node,
-                         static_cast<int>(suitable_.size()), suitable_[0].fit,
-                         margin);
+    trace_->job_admitted(
+        now, job.id, suitable_[0].node,
+        config_.selection == LibraConfig::Selection::FirstFit ? job.num_procs
+                                                              : suitable,
+        suitable_[0].fit, margin);
   collector_.record_started(job, now, job.actual_runtime / slowest);
   executor_.start(job, std::move(chosen));
+}
+
+int LibraScheduler::scan_total_share(const Job& job) {
+  const bool raw =
+      config_.estimate_kind == cluster::TimeSharedExecutor::EstimateKind::Raw;
+  const double limit = config_.capacity + config_.tolerance;
+  // new_job_share depends on the node only through its speed: one division
+  // per class serves every node of it, occupied or idle.
+  for (SpeedClass& c : speed_classes_) {
+    c.share = cluster::required_share(job.scheduler_estimate, job.deadline,
+                                      executor_.config().deadline_clamp,
+                                      c.speed);
+    c.idle_fit = 0.0 + c.share;  // an idle view's total share is 0.0
+    c.occupied = 0;
+  }
+  int suitable = 0;
+  for (const cluster::NodeId n : executor_.occupied_nodes()) {
+    SpeedClass& c = speed_classes_[node_class_[static_cast<std::size_t>(n)]];
+    ++c.occupied;
+    const cluster::NodeStateView& state = executor_.node_state(n, scan_parts_);
+    const double fit =
+        (raw ? state.total_share_raw : state.total_share_current) + c.share;
+    scan_metric_[static_cast<std::size_t>(n)] = fit;
+    if (fit <= limit) {
+      suitable_.push_back(Candidate{n, fit, -1.0});
+      ++suitable;
+    }
+  }
+  // Every idle node of a suitable class is suitable, but only the class's
+  // num_procs lowest-id idle nodes can be chosen: any other one has
+  // num_procs rivals with the same fit and lower ids, which precede it in
+  // the (fit, id) order and in node order alike.
+  for (const SpeedClass& c : speed_classes_) {
+    if (!(c.idle_fit <= limit)) continue;
+    const int idle = static_cast<int>(c.nodes.size()) - c.occupied;
+    suitable += idle;
+    int wanted = std::min(idle, job.num_procs);
+    for (auto it = c.nodes.begin(); wanted > 0; ++it) {
+      if (!executor_.node_jobs(*it).empty()) continue;
+      suitable_.push_back(Candidate{*it, c.idle_fit, -1.0});
+      --wanted;
+    }
+  }
+  return suitable;
+}
+
+void LibraScheduler::cover_total_share(const Job& job, sim::SimTime now,
+                                       bool tracing, bool accepted) {
+  const int cluster_size = executor_.cluster().size();
+  const std::span<const cluster::NodeId> occupied = executor_.occupied_nodes();
+  int covered = cluster_size;
+  auto assessed = static_cast<std::uint64_t>(occupied.size());
+  if (accepted && config_.selection == LibraConfig::Selection::FirstFit) {
+    // select_prefix put the chosen nodes in node order.
+    covered = suitable_[static_cast<std::size_t>(job.num_procs) - 1].node + 1;
+    assessed = static_cast<std::uint64_t>(std::ranges::count_if(
+        occupied, [covered](cluster::NodeId n) { return n < covered; }));
+  }
+  stats_.nodes_scanned += static_cast<std::uint64_t>(covered);
+  stats_.assessments += assessed;
+  stats_.empty_node_skips += static_cast<std::uint64_t>(covered) - assessed;
+  if (covered < cluster_size) ++stats_.early_exits;
+  if (!tracing) return;
+  const double limit = config_.capacity + config_.tolerance;
+  for (cluster::NodeId n = 0; n < covered; ++n) {
+    const double fit =
+        executor_.node_jobs(n).empty()
+            ? speed_classes_[node_class_[static_cast<std::size_t>(n)]].idle_fit
+            : scan_metric_[static_cast<std::size_t>(n)];
+    trace_->node_evaluated(
+        now, job.id, n,
+        fit <= limit ? trace::RejectionReason::None : scan_reason(),
+        /*sigma=*/-1.0, fit, config_.capacity - fit);  // Eq. 2 headroom
+  }
 }
 
 namespace {

@@ -28,9 +28,14 @@ struct AdmissionStats {
   std::uint64_t submissions = 0;      ///< jobs offered to the admission test
   std::uint64_t accepted = 0;
   std::uint64_t rejections = 0;
-  std::uint64_t nodes_scanned = 0;    ///< nodes examined for suitability
+  /// Nodes a decision covered, in node order: the whole cluster, except
+  /// that a FirstFit accept stops at its last chosen node.
+  std::uint64_t nodes_scanned = 0;
   std::uint64_t assessments = 0;      ///< full share/risk evaluations run
-  std::uint64_t empty_node_skips = 0; ///< ZeroRisk empty-node fast-path hits
+  /// Idle nodes decided without reading their view (ZeroRisk empty views;
+  /// Eq. 2 idle speed classes). For Libra, assessments + empty_node_skips
+  /// == nodes_scanned: every covered node is one or the other.
+  std::uint64_t empty_node_skips = 0;
   std::uint64_t early_exits = 0;      ///< FirstFit scans stopped before the last node
   /// Of `assessments`, those served by the batched core::assess_nodes kernel
   /// (ZeroRisk scans; the remainder went through the scalar per-node path).

@@ -191,6 +191,55 @@ TEST(TimeShared, CompletionRemovesFromNodeLists) {
   EXPECT_EQ(f.executor.running_count(), 0u);
 }
 
+// The occupied-node index holds exactly the nodes with residents through
+// a gang start, a completion and a kill (the randomized cache test below
+// checks it after every operation through check_invariants()).
+TEST(TimeShared, OccupiedNodesTrackResidents) {
+  ShareModelConfig config;
+  config.kill_at_estimate = true;
+  Fixture f(6, config);
+  std::vector<std::int64_t> killed;
+  f.executor.set_kill_handler(
+      [&](const Job& job, sim::SimTime) { killed.push_back(job.id); });
+  const auto expect_index = [&](std::vector<NodeId> expected) {
+    std::vector<NodeId> listed(f.executor.occupied_nodes().begin(),
+                               f.executor.occupied_nodes().end());
+    std::sort(listed.begin(), listed.end());
+    std::vector<NodeId> resident;
+    for (NodeId n = 0; n < f.cluster.size(); ++n)
+      if (!f.executor.node_jobs(n).empty()) resident.push_back(n);
+    EXPECT_EQ(listed, resident);
+    EXPECT_EQ(listed, expected);
+    f.executor.check_invariants();
+  };
+  const auto advance_to = [&](sim::SimTime t) {
+    f.simulator.at(t, sim::EventPriority::Control, [] {});
+    f.simulator.run_until(t);
+  };
+  expect_index({});
+
+  const Job gang = JobBuilder(1).set_runtime(100.0).deadline(400.0).procs(3).build();
+  const Job quick = JobBuilder(2).set_runtime(20.0).deadline(400.0).build();
+  const Job doomed =
+      JobBuilder(3).estimate(60.0).set_runtime(100.0).deadline(400.0).build();
+  const Job partner = JobBuilder(4).set_runtime(100.0).deadline(400.0).build();
+  f.executor.start(gang, {4, 1, 2});
+  expect_index({1, 2, 4});
+  f.executor.start(quick, {0});
+  f.executor.start(doomed, {5});
+  f.executor.start(partner, {1});  // a second resident adds no entry
+  expect_index({0, 1, 2, 4, 5});
+
+  advance_to(30.0);  // quick completes at t=20
+  ASSERT_TRUE(f.completions.contains(2));
+  expect_index({1, 2, 4, 5});
+  advance_to(70.0);  // doomed is killed at its estimate, t=60
+  ASSERT_EQ(killed, std::vector<std::int64_t>{3});
+  expect_index({1, 2, 4});
+  f.simulator.run();
+  expect_index({});
+}
+
 TEST(TimeShared, DeliveredWorkAccounting) {
   Fixture f(2);
   const Job job = JobBuilder(1).set_runtime(10.0).deadline(100.0).procs(2).build();

@@ -131,6 +131,44 @@ TEST(TraceSink, NullSinkLeavesDecisionsBitIdentical) {
   }
 }
 
+// An enabled sink runs the Eq. 2 scan's node_evaluated pass, which a
+// NullSink never reaches. Unlike the ZeroRisk sigma-spread bound skip
+// (armed only untraced), no Libra scan counter may depend on it; and every
+// node a decision covers is either assessed or an idle skip.
+TEST(TraceSink, EnabledSinkLeavesLibraScanCountersIdentical) {
+  for (const core::LibraConfig::Selection selection :
+       {core::LibraConfig::Selection::FirstFit,
+        core::LibraConfig::Selection::BestFit,
+        core::LibraConfig::Selection::WorstFit}) {
+    SCOPED_TRACE(::testing::Message() << "selection "
+                                      << static_cast<int>(selection));
+    exp::Scenario s = small_scenario(core::Policy::Libra, 3);
+    s.options.selection_override = selection;
+    const exp::ScenarioResult plain = exp::run_scenario(s);
+    std::ostringstream os;
+    trace::BinarySink sink(os, {"Libra", 3});
+    trace::Recorder recorder(sink);
+    ASSERT_TRUE(recorder.enabled());
+    s.options.hooks.trace = &recorder;
+    const exp::ScenarioResult traced = exp::run_scenario(s);
+    sink.close();
+
+    const core::AdmissionStats& p = plain.admission;
+    const core::AdmissionStats& t = traced.admission;
+    EXPECT_EQ(p.accepted, t.accepted);
+    EXPECT_EQ(p.nodes_scanned, t.nodes_scanned);
+    EXPECT_EQ(p.assessments, t.assessments);
+    EXPECT_EQ(p.empty_node_skips, t.empty_node_skips);
+    EXPECT_EQ(p.early_exits, t.early_exits);
+    EXPECT_EQ(p.near_miss_share_5, t.near_miss_share_5);
+    EXPECT_EQ(p.near_miss_share_10, t.near_miss_share_10);
+    EXPECT_EQ(t.assessments + t.empty_node_skips, t.nodes_scanned);
+    EXPECT_GT(t.assessments, 0u);
+    EXPECT_GT(t.empty_node_skips, 0u);
+    EXPECT_GT(t.near_miss_share_10, 0u);
+  }
+}
+
 TEST(TraceRecorder, EnabledTracksSinkDiscards) {
   trace::Recorder detached;
   EXPECT_FALSE(detached.enabled());
