@@ -37,9 +37,7 @@ std::vector<double> allocate_capacity(std::span<const double> demands,
 
 double allocate_one(double demand, double other_total, bool work_conserving) noexcept {
   if (demand <= 0.0) return 0.0;
-  const double sum = demand + std::max(other_total, 0.0);
-  const double denom = work_conserving ? sum : std::max(sum, 1.0);
-  return demand / denom;
+  return demand / allocation_divisor(demand, other_total, work_conserving);
 }
 
 }  // namespace librisk::cluster

@@ -7,6 +7,7 @@
 // prediction), so the two can never drift apart accidentally.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -73,8 +74,20 @@ struct ShareModelConfig {
                                                     bool work_conserving) noexcept;
 
 /// Allocation a single demand would receive on a node where the other
-/// demands sum to `other_total` (avoids building vectors in hot paths).
+/// demands sum to `other_total` (avoids building vectors in hot paths):
+/// demand / allocation_divisor(...), or 0 for a demand <= 0.
 [[nodiscard]] double allocate_one(double demand, double other_total,
                                   bool work_conserving) noexcept;
+
+/// The divisor of allocate_one: the node's total demand (the others floored
+/// at 0), or max(total, 1) when not work-conserving. Monotone in
+/// `other_total`, so among nodes that give `demand` the same numerator the
+/// smallest allocation is the one at the largest divisor. Inline: the
+/// executor's rate pass evaluates it once per node a task spans.
+[[nodiscard]] inline double allocation_divisor(double demand, double other_total,
+                                               bool work_conserving) noexcept {
+  const double sum = demand + std::max(other_total, 0.0);
+  return work_conserving ? sum : std::max(sum, 1.0);
+}
 
 }  // namespace librisk::cluster

@@ -47,10 +47,12 @@ LibraScheduler::LibraScheduler(sim::Simulator& simulator,
       config_.estimate_kind ==
           cluster::TimeSharedExecutor::EstimateKind::Current &&
       config_.risk.deadline_clamp == executor_.config().deadline_clamp;
+  // Both scans read aggregate-only views unless the ZeroRisk assessment
+  // must fold the per-resident columns itself.
   if (config_.admission == LibraConfig::Admission::ZeroRisk) {
     scan_parts_ = use_aggregates_
                       ? (cluster::kStateCapacity | cluster::kStateRiskAggregates)
-                      : cluster::kStateCapacity;
+                      : (cluster::kStateCapacity | cluster::kStateColumns);
   } else {
     scan_parts_ =
         config_.estimate_kind == cluster::TimeSharedExecutor::EstimateKind::Raw

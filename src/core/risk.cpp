@@ -327,6 +327,7 @@ ResidentRiskAggregates fold_residents_avx2(const NodeRiskInput& node,
     agg.fold(share, node.remaining_work[i], node.remaining_deadline[i],
              node.rate[i], clamp);
   }
+  agg.count = n;
   agg.computed = true;
   return agg;
 }
@@ -391,6 +392,7 @@ ResidentRiskAggregates fold_residents_reassociated(
     agg.fold(share, node.remaining_work[i], node.remaining_deadline[i],
              node.rate[i], clamp);
   }
+  agg.count = n;
   agg.computed = true;
   return agg;
 #endif
@@ -413,10 +415,19 @@ void assess_nodes(std::span<const NodeRiskInput> nodes, double candidate_work,
     NodeRiskVerdict& verdict = verdicts[v];
     verdict = NodeRiskVerdict{};
     LIBRISK_CHECK(node.speed_factor > 0.0, "speed factor must be positive");
-    const std::size_t n_res = node.remaining_work.size();
-    LIBRISK_CHECK(node.remaining_deadline.size() == n_res &&
-                      node.rate.size() == n_res,
-                  "SoA spans must be index-aligned");
+    // Computed aggregates stand in for the per-resident fold (CurrentRate
+    // only) and carry the resident count, so such an input may come without
+    // columns; any input that carries them must align them.
+    const bool cached = current_rate && node.aggregates != nullptr &&
+                        node.aggregates->computed;
+    const std::size_t n_res =
+        cached ? node.aggregates->count : node.remaining_work.size();
+    if (!cached || !node.remaining_work.empty() ||
+        !node.remaining_deadline.empty() || !node.rate.empty())
+      LIBRISK_CHECK(node.remaining_work.size() == n_res &&
+                        node.remaining_deadline.size() == n_res &&
+                        node.rate.size() == n_res,
+                    "SoA spans must be index-aligned");
 
     if (!current_rate) {
       // ProcessorSharing / ProportionalShare need the whole population at
@@ -441,7 +452,6 @@ void assess_nodes(std::span<const NodeRiskInput> nodes, double candidate_work,
       continue;
     }
 
-    const bool cached = node.aggregates != nullptr && node.aggregates->computed;
     ResidentRiskAggregates folded;
     const ResidentRiskAggregates* agg = node.aggregates;
     if (!cached) {

@@ -132,6 +132,19 @@ inline constexpr double kStarvedFinish = 1e15;
   return 0.0;
 }
 
+/// Eq. 4 deadline_delay of a *resident* under the CurrentRate prediction:
+/// its observed-rate finish offset turned into a delay. The one expression
+/// both ResidentRiskAggregates::fold and the executor's per-task terms use.
+[[nodiscard]] inline double resident_deadline_delay(double remaining_work,
+                                                    double remaining_deadline,
+                                                    double rate,
+                                                    double deadline_clamp) noexcept {
+  const double finish = resident_finish_current_rate(remaining_work, rate);
+  const double delay =
+      delay_from_finish_offset(remaining_work, remaining_deadline, finish);
+  return deadline_delay_metric(delay, remaining_deadline, deadline_clamp);
+}
+
 /// Eq. 6 from the in-order power sums, exactly as the scalar kernel computes
 /// it: population stddev via sqrt(max(0, E[x^2] - E[x]^2)), 0 below two
 /// samples.
@@ -160,6 +173,7 @@ struct ResidentRiskAggregates {
   /// Min over residents (any fold order; feeds only the conservative spread
   /// bound, which is not bit-constrained). +inf when there are no residents.
   double dd_min = std::numeric_limits<double>::infinity();
+  std::size_t count = 0;     ///< residents folded in
   bool computed = false;     ///< false when the producer skipped this part
 
   /// Folds one resident in, in start order, with the exact expressions of
@@ -168,16 +182,17 @@ struct ResidentRiskAggregates {
   /// the same clamp/speed the consumer's RiskConfig will use.
   void fold(double share, double remaining_work, double remaining_deadline,
             double rate, double deadline_clamp) noexcept {
-    const double finish = resident_finish_current_rate(remaining_work, rate);
-    const double delay =
-        delay_from_finish_offset(remaining_work, remaining_deadline, finish);
-    const double dd =
-        deadline_delay_metric(delay, remaining_deadline, deadline_clamp);
+    add(share, resident_deadline_delay(remaining_work, remaining_deadline,
+                                       rate, deadline_clamp));
+  }
+  /// fold() with the resident's deadline_delay already computed.
+  void add(double share, double dd) noexcept {
     share_sum += share;
     dd_sum += dd;
     dd_sum_sq += dd * dd;
     dd_max = std::max(dd_max, dd);
     dd_min = std::min(dd_min, dd);
+    ++count;
   }
 };
 
@@ -270,7 +285,9 @@ class RiskWorkspace {
 /// executor-owned storage (cluster::NodeStateView exposes exactly this
 /// layout). Spans must be index-aligned and ordered by resident start time;
 /// `remaining_work` carries whichever estimate kind (raw/current) the caller
-/// admits against.
+/// admits against. An input whose computed `aggregates` are used (the
+/// CurrentRate prediction) may leave all three spans empty: the aggregates
+/// carry the resident count.
 struct NodeRiskInput {
   std::span<const double> remaining_work;
   std::span<const double> remaining_deadline;

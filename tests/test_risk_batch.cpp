@@ -192,7 +192,47 @@ TEST(RiskBatch, AggregatePathMatchesScalarBitwise) {
     EXPECT_EQ(verdict.total_share, scalar.total_share);
     EXPECT_EQ(verdict.mu, scalar.mu);
     EXPECT_EQ(verdict.max_deadline_delay, scalar.max_deadline_delay);
+
+    // An aggregate-only input (no columns, as the executor's aggregate-only
+    // node views give) takes its resident count from the aggregates.
+    NodeRiskInput bare = input;
+    bare.remaining_work = {};
+    bare.remaining_deadline = {};
+    bare.rate = {};
+    NodeRiskVerdict bare_verdict;
+    assess_nodes({&bare, 1}, cand_work, cand_deadline, config, batch_ws,
+                 {&bare_verdict, 1});
+    EXPECT_EQ(bare_verdict.suitable, verdict.suitable);
+    EXPECT_EQ(bare_verdict.sigma, verdict.sigma);
+    EXPECT_EQ(bare_verdict.total_share, verdict.total_share);
+    EXPECT_EQ(bare_verdict.mu, verdict.mu);
   }
+}
+
+// Columns that an input does carry must align with its resident count,
+// with or without aggregates.
+TEST(RiskBatch, MisalignedColumnsThrowWithOrWithoutAggregates) {
+  rng::Stream s(19);
+  const RiskConfig config = random_config(s, RiskConfig::Prediction::CurrentRate);
+  const NodeCase node = random_node(s, 5);
+  const ResidentRiskAggregates agg = fold_aggregates(node, config);
+  RiskWorkspace ws;
+  NodeRiskVerdict verdict;
+  NodeRiskInput input = to_batch_input(node);
+  input.rate = input.rate.first(4);
+  EXPECT_THROW(assess_nodes({&input, 1}, 10.0, 100.0, config, ws, {&verdict, 1}),
+               CheckError);
+  input.aggregates = &agg;
+  EXPECT_THROW(assess_nodes({&input, 1}, 10.0, 100.0, config, ws, {&verdict, 1}),
+               CheckError);
+  // Aligned columns that disagree with the aggregates' count are misaligned too.
+  input = to_batch_input(node);
+  input.remaining_work = input.remaining_work.first(4);
+  input.remaining_deadline = input.remaining_deadline.first(4);
+  input.rate = input.rate.first(4);
+  input.aggregates = &agg;
+  EXPECT_THROW(assess_nodes({&input, 1}, 10.0, 100.0, config, ws, {&verdict, 1}),
+               CheckError);
 }
 
 // ---- Reassociated accumulation: within the documented bound -------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <map>
 
@@ -168,13 +169,21 @@ TEST(TimeShared, AvailableCapacityTracksDemands) {
 }
 
 TEST(TimeShared, StartValidation) {
-  Fixture f(2);
+  Fixture f(4);
   const Job job = JobBuilder(1).set_runtime(10.0).deadline(20.0).procs(2).build();
   EXPECT_THROW(f.executor.start(job, {0}), CheckError);        // wrong count
   EXPECT_THROW(f.executor.start(job, {0, 0}), CheckError);     // duplicate node
   EXPECT_THROW(f.executor.start(job, {0, 5}), CheckError);     // out of range
+  EXPECT_THROW(f.executor.start(job, {-1, 0}), CheckError);    // out of range
+  const Job gang = JobBuilder(2).set_runtime(10.0).deadline(20.0).procs(3).build();
+  EXPECT_THROW(f.executor.start(gang, {3, 1, 3}), CheckError);  // non-adjacent duplicate
+  EXPECT_THROW(f.executor.start(gang, {1, 2, 1}), CheckError);  // right after a throw
+  EXPECT_EQ(f.executor.running_count(), 0u);
   f.executor.start(job, {0, 1});
   EXPECT_THROW(f.executor.start(job, {0, 1}), CheckError);     // already running
+  f.executor.start(gang, {3, 2, 1});  // the failed calls left no marks behind
+  EXPECT_EQ(f.executor.running_count(), 2u);
+  f.executor.check_invariants();
 }
 
 TEST(TimeShared, CompletionRemovesFromNodeLists) {
@@ -305,6 +314,35 @@ TEST(TimeShared, NodeStateAggregatesMatchAccessors) {
   EXPECT_DOUBLE_EQ(s.min_remaining_deadline, 400.0);
   // Untouched node unaffected.
   EXPECT_TRUE(f.executor.node_state(1).empty());
+}
+
+// A view read without the Columns part is aggregate-only: no per-resident
+// spans, but the resident count and every requested aggregate; widening
+// the request adds the columns without moving the aggregates.
+TEST(TimeShared, AggregateOnlyViewKeepsCountAndTotals) {
+  Fixture f(1, strict_pacing());
+  const Job a = JobBuilder(1).set_runtime(100.0).deadline(400.0).build();
+  const Job b = JobBuilder(2).set_runtime(50.0).deadline(1000.0).build();
+  f.executor.start(a, {0});
+  f.executor.start(b, {0});
+  const NodeStateView& bare =
+      f.executor.node_state(0, kStateSharesRaw | kStateRiskAggregates);
+  EXPECT_EQ(bare.count(), 2u);
+  EXPECT_FALSE(bare.empty());
+  EXPECT_TRUE(bare.jobs.empty());
+  EXPECT_TRUE(bare.remaining_current.empty());
+  EXPECT_TRUE(bare.rate.empty());
+  EXPECT_EQ(bare.risk_current.count, 2u);
+  const double total_raw = bare.total_share_raw;
+  const double dd_sum = bare.risk_current.dd_sum;
+  EXPECT_NEAR(total_raw, 0.30, 1e-12);
+
+  const NodeStateView& full = f.executor.node_state(0);
+  ASSERT_EQ(full.jobs.size(), 2u);
+  EXPECT_EQ(full.remaining_raw.size(), 2u);
+  EXPECT_EQ(full.total_share_raw, total_raw);
+  EXPECT_EQ(full.risk_current.dd_sum, dd_sum);
+  f.executor.check_invariants();
 }
 
 // Aggregates are time-dependent: after work advances, a re-query at the new
@@ -442,11 +480,55 @@ TEST(TimeShared, SameInstantKillThenStartShowsNewResident) {
   EXPECT_TRUE(f.completions.contains(2));
 }
 
+// An overrun can fire in a settle that does not advance time. Three of four
+// EqualShare residents complete one ulp of work before the fourth exhausts
+// its estimate; its rate quadruples, which puts its new expiry boundary a
+// quarter ulp after now, so it rounds onto the completion instant. The
+// views and term memos read in the completion handlers must not outlive
+// that overrun: only the overrun's own epoch bump invalidates them.
+TEST(TimeShared, SameInstantOverrunInvalidatesViewsAndTerms) {
+  ShareModelConfig c;
+  c.mode = ExecutionMode::EqualShare;
+  Fixture f(1, c);
+  const double sliver = std::nextafter(50.0, 0.0);
+  const Job doomed =
+      JobBuilder(1).estimate(50.0).set_runtime(100.0).deadline(1000.0).build();
+  std::deque<Job> quick;
+  for (int id = 2; id <= 4; ++id)
+    quick.push_back(JobBuilder(id).set_runtime(sliver).deadline(1000.0).build());
+  std::vector<sim::SimTime> completed;
+  sim::SimTime overran = -1.0;
+  const auto read_all = [&] {
+    (void)f.executor.node_state(0);
+    f.executor.check_invariants();
+  };
+  f.executor.set_completion_handler([&](const Job&, sim::SimTime t) {
+    completed.push_back(t);
+    read_all();
+  });
+  f.executor.set_overrun_handler([&](const Job& job, int) {
+    if (overran < 0.0) overran = f.simulator.now();
+    EXPECT_EQ(job.id, 1);
+    read_all();
+  });
+  f.executor.start(doomed, {0});
+  for (const Job& job : quick) f.executor.start(job, {0});
+  f.simulator.run_until(200.0);
+  const sim::SimTime instant = std::nextafter(200.0, 0.0);
+  ASSERT_EQ(completed, std::vector<sim::SimTime>(3, instant));
+  EXPECT_EQ(overran, instant);  // same instant: no time advanced in between
+  EXPECT_NEAR(f.executor.view(1).est_current, 55.0, 1e-9);
+}
+
 // Seeded random start / advance / overrun / kill sequences on a
 // heterogeneous 16-node cluster. Between operations (and inside every
 // completion, overrun and kill handler) random nodes are read with random
 // parts, so caches of every shape exist when check_invariants() verifies
-// that each view the cache would serve equals a from-scratch rebuild.
+// that each view the cache would serve equals a from-scratch rebuild, that
+// each memoised task term equals a fresh one, and that every rate equals
+// the per-node reference. Gangs of up to 6 nodes cross the 3-speed
+// interleave, so one task's nodes differ in speed, and equal-speed runs of
+// several nodes occur too.
 void run_random_cache_sequence(ShareModelConfig config, std::uint64_t seed) {
   constexpr int kNodes = 16;
   std::vector<NodeSpec> specs;
@@ -483,7 +565,7 @@ void run_random_cache_sequence(ShareModelConfig config, std::uint64_t seed) {
   for (int op = 0; op < 300; ++op) {
     if (stream.bernoulli(0.45)) {
       rng::shuffle(all, stream);
-      const int procs = static_cast<int>(stream.uniform_int(1, 3));
+      const int procs = static_cast<int>(stream.uniform_int(1, 6));
       const double runtime = stream.uniform(5.0, 200.0);
       // A third under-estimate: they overrun (or are killed) mid-run.
       const double estimate =
