@@ -33,11 +33,14 @@
 
 #include "cluster/cluster.hpp"
 #include "core/gateway.hpp"
+#include "support/bounded_queue.hpp"
 #include "support/cli.hpp"
 
 namespace {
 
 using namespace librisk;
+
+constexpr std::size_t kQueueCapacity = 4096;
 
 struct MixResult {
   std::string mix;
@@ -88,7 +91,7 @@ core::GatewayConfig bench_config(core::Policy policy) {
   config.engine.cluster = cluster::Cluster::homogeneous(128, 168.0);
   config.engine.policy = policy;
   config.audit_shed = false;  // drop at the gate: measure the gate itself
-  config.queue_capacity = 4096;
+  config.queue_capacity = kQueueCapacity;
   return config;
 }
 
@@ -153,9 +156,10 @@ void write_json(const std::string& path, const std::vector<MixResult>& results) 
      << " \"context\": {\n"
      << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
      << ",\n"
+     << "  \"usable_cpus\": " << support::usable_cpus() << ",\n"
      << "  \"policy\": \"Libra (gate, mixed); LibraRisk (mixed-risk)\",\n"
      << "  \"cluster\": \"homogeneous 128 x 168\",\n"
-     << "  \"queue_capacity\": 4096\n"
+     << "  \"queue_capacity\": " << kQueueCapacity << "\n"
      << " },\n"
      << " \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {

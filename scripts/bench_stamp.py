@@ -4,14 +4,18 @@
 Usage:
     bench_stamp.py --build build --out BENCH_kernel.json --note TEXT \
                    micro_kernel=kernel.json micro_eventqueue=eventqueue.json
+    bench_stamp.py --build build --stamp BENCH_gateway.json
 
 Each NAME=FILE argument is a `--benchmark_format=json` run; its benchmark
 rows land under the key NAME (the layout scripts/bench_diff.py reads), and
-the first run's google-benchmark context is kept as "context". The
+the first run's google-benchmark context is kept as "context". --stamp
+instead adds the provenance block to an existing JSON object in place, for
+BENCH files a bench binary writes in its own layout (throughput_gateway);
+every other key is kept, and --note, if given, replaces "note". The
 "provenance" block records what the numbers were measured on: the git SHA
 (and whether the tree had uncommitted changes), the build type, compiler
-and flags from --build's CMakeCache.txt, nproc and the load average.
-Standard library only.
+and flags from --build's CMakeCache.txt, nproc, the CPUs this process may
+use, and the load average. Standard library only.
 """
 
 from __future__ import annotations
@@ -59,20 +63,47 @@ def provenance(build_dir: str) -> dict:
         "compiler": f"{compiler} ({version[0]})" if version else compiler,
         "cxx_flags": flags,
         "nproc": os.cpu_count(),
+        "usable_cpus": (len(os.sched_getaffinity(0))
+                        if hasattr(os, "sched_getaffinity") else os.cpu_count()),
         "loadavg": [round(x, 2) for x in os.getloadavg()],
     }
+
+
+def stamp(path: str, note: str, build_dir: str) -> None:
+    """Adds (or refreshes) the provenance block of an existing JSON object."""
+    with open(path) as f:
+        old = json.load(f)
+    if not isinstance(old, dict):
+        raise SystemExit(f"{path}: expected a JSON object")
+    doc: dict = {"note": note or old.get("note", "")}
+    doc["provenance"] = provenance(build_dir)
+    doc.update((k, v) for k, v in old.items() if k not in doc)
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+    print(f"stamped {path} at {doc['provenance']['git_sha'][:12]}")
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build", required=True,
                         help="CMake build directory the binaries came from")
-    parser.add_argument("--out", required=True, help="BENCH_*.json to write")
+    target = parser.add_mutually_exclusive_group(required=True)
+    target.add_argument("--out", help="BENCH_*.json to write from RUNS")
+    target.add_argument("--stamp", metavar="FILE",
+                        help="existing JSON object to stamp in place")
     parser.add_argument("--note", default="", help="free-text note")
-    parser.add_argument("runs", nargs="+", metavar="NAME=FILE",
+    parser.add_argument("runs", nargs="*", metavar="NAME=FILE",
                         help="google-benchmark JSON run, stored under NAME")
     args = parser.parse_args()
 
+    if args.stamp:
+        if args.runs:
+            parser.error("--stamp takes no NAME=FILE runs")
+        stamp(args.stamp, args.note, args.build)
+        return 0
+    if not args.runs:
+        parser.error("--out needs at least one NAME=FILE run")
     doc: dict = {"note": args.note, "provenance": provenance(args.build)}
     for run in args.runs:
         name, sep, path = run.partition("=")

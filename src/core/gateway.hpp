@@ -35,10 +35,18 @@
 //      only in the explicitly unsound Shedding::Aggressive mode and is
 //      otherwise a lock-free load telemetry signal.
 //
-//   2. A bounded MPSC queue draining into the engine, whose clock a
-//      dedicated drive thread advances. The queue bounds memory and
-//      applies backpressure; the drive thread is the only thread that
-//      touches the engine, the hooks, and the accumulator's write side.
+//   2. A bounded MPSC queue (support::BoundedQueue) draining into the
+//      engine, whose clock a dedicated drive thread advances. The drive
+//      thread is the only thread that touches the engine, the hooks, and
+//      the accumulator's write side. Between jobs it spins on the queue's
+//      occupancy for up to BoundedQueue::kSpinBound (200 µs) before it
+//      parks, and a producer pays a wake-up only when it has parked: at a
+//      steady 10 k jobs/s a submit is a short critical section and the
+//      job is picked up within a microsecond. The price is CPU, up to a
+//      whole core while jobs arrive faster than one per spin bound; an
+//      idle gateway parks. The queue bounds memory and applies
+//      backpressure: a producer that finds it full sleeps until the drive
+//      thread has drained it to half its capacity.
 //
 // Determinism: with a single producer submitting a monotone stream, the
 // drive thread replays exactly `advance_to + submit` per job — byte-
@@ -160,7 +168,9 @@ class AdmissionGateway {
   ~AdmissionGateway();
 
   /// Thread-safe; callable from any number of producer threads. Blocks
-  /// only when the drive queue is full (backpressure).
+  /// only when the drive queue is full (backpressure), and then until the
+  /// drive thread has drained it to half its capacity. Wakes the drive
+  /// thread only if it has parked.
   SubmitStatus submit(const workload::Job& job);
 
   /// Stops intake, drains the queue, joins the drive thread, finishes the

@@ -12,15 +12,20 @@
 //     byte-identical traces run-to-run (decisions are a pure function of
 //     queue order);
 //   * accounting — the share accumulator returns to exactly zero after
-//     every run (subtract-on-resolve can never underflow or leak).
+//     every run (subtract-on-resolve can never underflow or leak);
+//   * handoff — the queue's spin-then-park consumer loses no wake-up,
+//     blocked producers resume at the low-water mark, and an idle drive
+//     thread parks instead of spinning.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <condition_variable>
 #include <cctype>
 #include <cstdint>
+#include <ctime>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -483,6 +488,30 @@ TEST(GatewayConcurrent, RequiresOwningEngineConfig) {
   EXPECT_THROW(core::AdmissionGateway{std::move(config)}, CheckError);
 }
 
+TEST(GatewayIdle, DriveThreadParksWhenIdle) {
+  // After its one job the drive thread spins for at most the queue's spin
+  // bound and then parks: 500 ms of idleness must cost the process far
+  // less than 500 ms of CPU, which a spin that never parks would burn.
+  const auto process_cpu_s = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+  };
+  core::AdmissionGateway gateway(gateway_config(
+      cluster::Cluster::homogeneous(4, 168.0), core::Policy::LibraRisk));
+  ASSERT_EQ(gateway.submit(JobBuilder(1).submit(1.0).set_runtime(10.0)),
+            core::SubmitStatus::Enqueued);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (gateway.stats().decided < 1 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(gateway.stats().decided, 1u);
+  const double before = process_cpu_s();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double idle_cpu_s = process_cpu_s() - before;
+  gateway.close();
+  EXPECT_LT(idle_cpu_s, 0.050);
+}
+
 // ---------------------------------------------------------------------------
 // Flight recorder + per-certificate shed attribution. The "Flight" suite
 // name is load-bearing: the TSan CI job's filter regex selects it, so the
@@ -726,6 +755,172 @@ TEST(BoundedQueue, CloseUnblocksAWaitingProducer) {
   queue.close();
   producer.join();
   EXPECT_TRUE(unblocked.load());
+}
+
+// The spin-then-park protocol. Each test bounds its waits by a deadline,
+// so a lost wake-up fails an assertion instead of hanging the suite.
+
+TEST(BoundedQueue, ParkedConsumerReceivesEveryItem) {
+  // The producer sleeps past the spin bound before every push, so the
+  // consumer has given up spinning and parked each time it is fed.
+  using Queue = support::BoundedQueue<int>;
+  constexpr int kRounds = 200;
+  Queue queue(4);
+  std::mutex mutex;
+  std::condition_variable cv;
+  int received = -1;  // last item the consumer popped
+  std::thread consumer([&] {
+    int item = 0;
+    while (queue.pop(item)) {
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        received = item;
+      }
+      cv.notify_one();
+    }
+  });
+  int delivered = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    std::this_thread::sleep_for(2 * Queue::kSpinBound);
+    if (!queue.push(i)) break;
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!cv.wait_for(lock, std::chrono::seconds(5), [&] { return received == i; }))
+      break;  // lost wake-up: close() below still releases the consumer
+    ++delivered;
+  }
+  queue.close();
+  consumer.join();
+  EXPECT_EQ(delivered, kRounds);
+}
+
+TEST(BoundedQueue, BlockedProducersResumeAtTheLowWaterMark) {
+  using Queue = support::BoundedQueue<std::size_t>;
+  using namespace std::chrono_literals;
+  constexpr std::size_t kProducers = 2;
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    const std::size_t low_water = capacity / Queue::kLowWaterDivisor;
+    Queue queue(capacity);
+    for (std::size_t i = 0; i < capacity; ++i) EXPECT_TRUE(queue.push(i));
+    std::atomic<std::size_t> entering{0};
+    std::atomic<std::size_t> resumed{0};
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < kProducers; ++p)
+      producers.emplace_back([&, p] {
+        entering.fetch_add(1);
+        EXPECT_TRUE(queue.push(capacity + p));
+        resumed.fetch_add(1);
+      });
+    while (entering.load() < kProducers) std::this_thread::yield();
+    std::this_thread::sleep_for(20ms);  // let both block on the full queue
+
+    // Pops that leave the queue above the mark wake nobody.
+    std::size_t out = 0;
+    std::size_t next = 0;
+    for (; queue.size() > low_water + 1; ++next) {
+      EXPECT_TRUE(queue.pop(out));
+      EXPECT_EQ(out, next);
+    }
+    if (next > 0) {
+      std::this_thread::sleep_for(20ms);
+      EXPECT_EQ(resumed.load(), 0u);
+    }
+    // The pop that reaches the mark wakes them; as many fit as it freed.
+    EXPECT_TRUE(queue.pop(out));
+    EXPECT_EQ(out, next++);
+    const std::size_t fit = std::min(kProducers, capacity - low_water);
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (resumed.load() < fit && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    EXPECT_EQ(resumed.load(), fit);
+
+    // Drain the rest (popping only what is there, so nothing can hang).
+    std::vector<std::size_t> tail;
+    while (tail.size() < capacity + kProducers - next &&
+           std::chrono::steady_clock::now() < deadline) {
+      if (queue.size() > 0 && queue.pop(out))
+        tail.push_back(out);
+      else
+        std::this_thread::yield();
+    }
+    queue.close();
+    for (std::thread& producer : producers) producer.join();
+    EXPECT_EQ(resumed.load(), kProducers);
+    ASSERT_EQ(tail.size(), capacity + kProducers - next);
+    for (std::size_t i = 0; next + i < capacity; ++i) EXPECT_EQ(tail[i], next + i);
+    std::sort(tail.end() - kProducers, tail.end());
+    EXPECT_EQ(tail[tail.size() - 2], capacity);
+    EXPECT_EQ(tail.back(), capacity + 1);
+    EXPECT_EQ(queue.high_water(), capacity);
+  }
+}
+
+TEST(BoundedQueue, CloseStopsASpinningConsumerPromptly) {
+  // close() lands while pop() is still inside its spin. Every trial must
+  // return false; the fastest must beat the spin bound by a wide margin,
+  // which a spin blind to the closed flag could not.
+  using Queue = support::BoundedQueue<int>;
+  using Clock = std::chrono::steady_clock;
+  constexpr int kTrials = 20;
+  Clock::duration fastest = Clock::duration::max();
+  for (int trial = 0; trial < kTrials; ++trial) {
+    Queue queue(4);
+    std::atomic<bool> popping{false};
+    bool popped = true;
+    Clock::time_point returned{};
+    std::thread consumer([&] {
+      int out = 0;
+      popping.store(true);
+      popped = queue.pop(out);
+      returned = Clock::now();
+    });
+    while (!popping.load()) std::this_thread::yield();
+    const Clock::time_point closed_at = Clock::now();
+    queue.close();
+    consumer.join();
+    EXPECT_FALSE(popped);
+    EXPECT_LT(returned - closed_at, std::chrono::seconds(1));
+    fastest = std::min(fastest, returned - closed_at);
+  }
+  EXPECT_LT(fastest, Queue::kSpinBound / 2);
+}
+
+TEST(BoundedQueue, ManyProducersLoseNothingAndKeepPerProducerOrder) {
+  constexpr std::uint64_t kProducers = 4;
+  constexpr std::uint64_t kPerProducer = 20'000;
+  constexpr std::size_t kCapacity = 64;
+  support::BoundedQueue<std::uint64_t> queue(kCapacity);
+  std::vector<std::thread> producers;
+  for (std::uint64_t p = 0; p < kProducers; ++p)
+    producers.emplace_back([&queue, p] {
+      for (std::uint64_t seq = 0; seq < kPerProducer; ++seq)
+        EXPECT_TRUE(queue.push(p << 32 | seq));
+    });
+  // Closing once every producer is done ends the pop loop even if an item
+  // went missing.
+  std::thread closer([&] {
+    for (std::thread& producer : producers) producer.join();
+    queue.close();
+  });
+  std::vector<std::uint64_t> next_seq(kProducers, 0);
+  std::uint64_t popped = 0;
+  std::uint64_t item = 0;
+  while (queue.pop(item)) {
+    ++popped;
+    const std::uint64_t p = item >> 32;
+    const std::uint64_t seq = item & 0xffff'ffffu;
+    if (p >= kProducers) {
+      ADD_FAILURE() << "item from unknown producer " << p;
+      continue;
+    }
+    // Strictly the next sequence number: no loss, no duplicate, FIFO.
+    EXPECT_EQ(seq, next_seq[p]);
+    next_seq[p] = seq + 1;
+  }
+  closer.join();
+  EXPECT_EQ(popped, kProducers * kPerProducer);
+  for (const std::uint64_t seq : next_seq) EXPECT_EQ(seq, kPerProducer);
+  EXPECT_LE(queue.high_water(), kCapacity);
 }
 
 // ---------------------------------------------------------------------------
