@@ -1,5 +1,6 @@
-// Bounded multi-producer queue with blocking push/pop, used as the handoff
-// between the gateway's submitter threads and its single drive thread.
+// Bounded multi-producer, single-consumer queue with blocking push/pop,
+// used as the handoff between the gateway's submitter threads and its
+// single drive thread.
 //
 // A mutex-guarded ring whose waits are arranged so that a steady stream
 // makes no system call on either side:
@@ -38,14 +39,15 @@
 // a spinning consumer sees the closed flag within one spin iteration.
 #pragma once
 
+#if defined(__linux__)
 #include <sched.h>
+#endif
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -85,10 +87,11 @@ class BoundedQueue {
  public:
   /// How long pop() spins on an empty queue before parking. The spin only
   /// pays when it outlasts the idle gap it is meant to hide: at 10 k jobs/s
-  /// the gateway's drive thread idles ~85 µs between decisions, and a
-  /// 20 or 50 µs spin left the queue wait where parking had it. The cost
-  /// is CPU: a consumer fed faster than every kSpinBound never parks.
-  /// (EXPERIMENTS.md "Gateway handoff" has the sweep.)
+  /// the gateway's drive thread idles ~83 µs between decisions, and a
+  /// 50 µs spin left the queue wait where parking had it; 200 µs keeps a
+  /// 2x margin there. The cost is CPU: a consumer fed faster than once per
+  /// kSpinBound never parks. (EXPERIMENTS.md "Gateway handoff" has the
+  /// sweep.)
   static constexpr std::chrono::microseconds kSpinBound{200};
   /// Producers blocked on a full queue resume once it has drained to
   /// capacity / kLowWaterDivisor.
@@ -111,9 +114,8 @@ class BoundedQueue {
     std::unique_lock<std::mutex> lock(mutex_);
     while (size_ == ring_.size() && !closed_.load(std::memory_order_relaxed)) {
       producers_blocked_ = true;
-      const std::uint64_t drain = drains_;
-      not_full_.wait(lock, [&] {
-        return drains_ != drain || closed_.load(std::memory_order_relaxed);
+      not_full_.wait(lock, [this] {
+        return !producers_blocked_ || closed_.load(std::memory_order_relaxed);
       });
     }
     if (closed_.load(std::memory_order_relaxed)) return false;
@@ -145,10 +147,7 @@ class BoundedQueue {
     --size_;
     occupancy_.store(size_, std::memory_order_relaxed);
     const bool wake = producers_blocked_ && size_ <= low_water_;
-    if (wake) {
-      producers_blocked_ = false;
-      ++drains_;
-    }
+    if (wake) producers_blocked_ = false;
     lock.unlock();
     if (wake) not_full_.notify_all();
     return true;
@@ -199,7 +198,6 @@ class BoundedQueue {
   std::size_t high_water_ = 0;
   bool consumer_parked_ = false;    ///< the consumer waits on not_empty_
   bool producers_blocked_ = false;  ///< some producer waits on not_full_
-  std::uint64_t drains_ = 0;        ///< low-water crossings that woke producers
   // Written under mutex_, read anywhere (the spin's and accessors' hints):
   std::atomic<std::size_t> occupancy_{0};  ///< mirrors size_
   std::atomic<bool> closed_{false};
