@@ -122,7 +122,7 @@ SoaPopulation make_soa(std::size_t n, std::uint64_t seed) {
   return p;
 }
 
-// The batched SoA kernel, strict (bit-identical) accumulation, one node per
+// The batched SoA kernel (bit-identical to the scalar kernel), one node per
 // call — head-to-head with BM_RiskAssessNodeWorkspace on the same jobs.
 void BM_RiskAssessNodesBatched(benchmark::State& state) {
   const SoaPopulation p = make_soa(static_cast<std::size_t>(state.range(0)), 7);
@@ -139,25 +139,6 @@ void BM_RiskAssessNodesBatched(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * (p.work.size() + 1)));
 }
 BENCHMARK(BM_RiskAssessNodesBatched)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
-
-// Reassociated (4-lane / SIMD when compiled in) accumulation — the opt-in
-// bit-changing mode, same jobs.
-void BM_RiskAssessNodesReassociated(benchmark::State& state) {
-  const SoaPopulation p = make_soa(static_cast<std::size_t>(state.range(0)), 7);
-  core::RiskConfig config;
-  config.batch_accumulation = core::RiskConfig::Accumulation::Reassociated;
-  core::RiskWorkspace workspace;
-  const core::NodeRiskInput node = p.node(0.3);
-  core::NodeRiskVerdict verdict;
-  for (auto _ : state) {
-    core::assess_nodes({&node, 1}, p.cand_work, p.cand_deadline, config,
-                       workspace, {&verdict, 1});
-    benchmark::DoNotOptimize(verdict.sigma);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * (p.work.size() + 1)));
-}
-BENCHMARK(BM_RiskAssessNodesReassociated)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
 
 // The scheduler's steady-state path: the executor's epoch cache has already
 // folded the residents into power sums, so the per-node assessment is O(1)

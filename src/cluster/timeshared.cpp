@@ -169,16 +169,6 @@ TaskView TimeSharedExecutor::view(JobId id) const {
   return v;
 }
 
-double TimeSharedExecutor::node_total_share(NodeId node, EstimateKind kind) const {
-  if (kind == EstimateKind::Raw)
-    return node_state(node, kStateSharesRaw).total_share_raw;
-  return node_state(node, kStateSharesCurrent).total_share_current;
-}
-
-double TimeSharedExecutor::node_available_capacity(NodeId node) const {
-  return node_state(node, kStateCapacity).available_capacity;
-}
-
 void TimeSharedExecutor::rebuild_node_cache(NodeId node, NodeCache& cache,
                                             NodeStateParts parts) const {
   ++stats_.view_rebuilds;

@@ -115,9 +115,11 @@ struct NodeStateView {
   std::span<const double> rate;                 ///< current ref-seconds per second
   std::span<const double> share_raw;            ///< required_share of remaining_raw [SharesRaw]
   std::span<const double> share_current;        ///< required_share of remaining_current [SharesCurrent]
-  double total_share_raw = 0.0;      ///< == node_total_share(EstimateKind::Raw) [SharesRaw]
-  double total_share_current = 0.0;  ///< == node_total_share(EstimateKind::Current) [SharesCurrent]
-  double available_capacity = 1.0;   ///< == node_available_capacity() [Capacity]
+  double total_share_raw = 0.0;      ///< total demanded share, raw estimates (Eq. 2) [SharesRaw]
+  double total_share_current = 0.0;  ///< total demanded share, current estimates [SharesCurrent]
+  /// Fraction of capacity not allocated to jobs (always 0 in
+  /// work-conserving modes, which use everything). [Capacity]
+  double available_capacity = 1.0;
   double min_remaining_deadline = 0.0;  ///< +inf when the node is empty
   /// Left-fold of the CurrentRate σ-risk resident terms in start order
   /// (share_current / observed rate), ready for core::assess_nodes'
@@ -218,13 +220,10 @@ class TimeSharedExecutor {
     return occupied_.nodes;
   }
   [[nodiscard]] TaskView view(JobId id) const;
-  /// Total demanded share on a node under the raw-estimate belief
-  /// (Libra's Eq. 2) or the current-estimate reality.
+  /// Which estimate a node's total demanded share is summed over: the
+  /// raw-estimate belief (Libra's Eq. 2) or the overrun-bumped current
+  /// estimate (the view's total_share_raw / total_share_current).
   enum class EstimateKind { Raw, Current };
-  [[nodiscard]] double node_total_share(NodeId node, EstimateKind kind) const;
-  /// Fraction of the node's capacity not currently allocated to jobs
-  /// (always 0 in work-conserving modes, which use everything).
-  [[nodiscard]] double node_available_capacity(NodeId node) const;
   /// Resident snapshot + aggregates for one node, served from a per-node
   /// cache. A populated node's view is valid for one (state epoch, instant)
   /// pair: any start, completion, overrun, kill or time advance anywhere

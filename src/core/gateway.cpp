@@ -1,13 +1,11 @@
 #include "core/gateway.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "cluster/share_model.hpp"
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
-#include "support/log.hpp"
 
 namespace librisk::core {
 
@@ -18,8 +16,6 @@ AdmissionGateway::AdmissionGateway(GatewayConfig config)
   LIBRISK_CHECK(config_.engine.cluster.has_value(),
                 "the gateway requires an owning-mode EngineConfig (cluster "
                 "set): its drive thread must be the engine's only user");
-  LIBRISK_CHECK(config_.granularity > 0, "granularity must be positive");
-  LIBRISK_CHECK(config_.aggregate_headroom > 0.0, "headroom must be positive");
 
   // Derive the certificate parameters before the cluster is moved into the
   // engine. Each mirrors the policy's own admission expression exactly —
@@ -64,36 +60,23 @@ AdmissionGateway::AdmissionGateway(GatewayConfig config)
     case Policy::Easy:
       break;
   }
-  const double budget = config_.aggregate_headroom * cluster.total_speed_factor() *
-                        static_cast<double>(config_.granularity);
-  share_budget_scaled_ = static_cast<std::uint64_t>(std::min(budget, 9.0e18));
 
   Hooks hooks = config_.engine.options.hooks;
   engine_ = make_engine(std::move(config_.engine));
 
-  // Subtract-on-resolve: fires on the drive thread (the only thread that
-  // steps the engine), so the accumulator has a single writer. Jobs the
-  // gate or the engine rejected at submit have no entry — the map guard
-  // makes underflow structurally impossible.
+  // Deferred audit: a pre-shed job the engine queued must resolve as a
+  // rejection (for the EDF family that happens at dispatch time); any shed
+  // job that actually ran falsifies a certificate. Fires on the drive
+  // thread, the only thread that steps the engine or touches shed_pending_.
   observer_id_ = engine_->collector().add_resolution_observer(
       [this](std::int64_t id) {
-        // Deferred audit: a pre-shed job the engine queued must resolve as
-        // a rejection (for the EDF family that happens at dispatch time);
-        // any shed job that actually ran falsifies a certificate.
-        const auto shed_it = shed_pending_.find(id);
-        if (shed_it != shed_pending_.end()) {
-          const metrics::JobFate fate = engine_->collector().record(id).fate;
-          if (fate != metrics::JobFate::RejectedAtSubmit &&
-              fate != metrics::JobFate::RejectedAtDispatch)
-            audit_violations_.fetch_add(1, std::memory_order_relaxed);
-          shed_pending_.erase(shed_it);
-        }
-        const auto it = contributions_.find(id);
-        if (it == contributions_.end()) return;
-        share_scaled_.store(share_scaled_.load(std::memory_order_relaxed) -
-                                it->second,
-                            std::memory_order_release);
-        contributions_.erase(it);
+        const auto it = shed_pending_.find(id);
+        if (it == shed_pending_.end()) return;
+        const metrics::JobFate fate = engine_->collector().record(id).fate;
+        if (fate != metrics::JobFate::RejectedAtSubmit &&
+            fate != metrics::JobFate::RejectedAtDispatch)
+          audit_violations_.fetch_add(1, std::memory_order_relaxed);
+        shed_pending_.erase(it);
       });
 
   if (hooks.telemetry != nullptr) {
@@ -114,19 +97,6 @@ AdmissionGateway::AdmissionGateway(GatewayConfig config)
                    [this] { return static_cast<std::uint64_t>(queue_.high_water()); });
     reg.gauge_fn("gateway_queue_depth", "current drive-queue occupancy",
                  [this] { return static_cast<double>(queue_.size()); });
-    reg.gauge_fn("gateway_inflight_share",
-                 "in-flight share accumulator (processor units)", [this] {
-                   return static_cast<double>(
-                              share_scaled_.load(std::memory_order_relaxed)) /
-                          static_cast<double>(config_.granularity);
-                 });
-    reg.gauge_fn("gateway_inflight_share_peak",
-                 "in-flight share accumulator high-water mark (processor "
-                 "units)",
-                 [this] {
-                   return static_cast<double>(share_peak_.value()) /
-                          static_cast<double>(config_.granularity);
-                 });
     reg.counter_fn("gateway_shed_no_suitable_node",
                    "sheds by certificate C1 (larger than the cluster)",
                    [this] { return shed_no_node_.load(std::memory_order_relaxed); });
@@ -136,12 +106,6 @@ AdmissionGateway::AdmissionGateway(GatewayConfig config)
     reg.counter_fn("gateway_shed_deadline",
                    "sheds by certificate C2-deadline (best-case finish)",
                    [this] { return shed_deadline_.load(std::memory_order_relaxed); });
-    reg.counter_fn("gateway_shed_aggregate",
-                   "sheds by the aggregate accumulator (Aggressive only)",
-                   [this] { return shed_aggregate_.load(std::memory_order_relaxed); });
-    reg.counter_fn("gateway_shed_spikes",
-                   "shed-spike threshold crossings observed",
-                   [this] { return spike_events_.load(std::memory_order_relaxed); });
     reg.counter_fn(
         "gateway_degraded_admits",
         "engine decisions that were degraded-mode admissions",
@@ -177,20 +141,6 @@ AdmissionGateway::~AdmissionGateway() {
   }
 }
 
-std::uint64_t AdmissionGateway::scaled_share(
-    const workload::Job& job) const noexcept {
-  const double min_share =
-      cluster::required_share(job.scheduler_estimate, job.deadline,
-                              model_.deadline_clamp, model_.max_speed);
-  // Fixed-point in double first (floor keeps truncation deterministic),
-  // clamped below the uint64 range before the cast — a near-zero deadline
-  // can push the share to ~1e18 and beyond.
-  const double scaled = static_cast<double>(job.num_procs) *
-                        std::floor(static_cast<double>(config_.granularity) *
-                                   min_share);
-  return static_cast<std::uint64_t>(std::min(scaled, 9.0e18));
-}
-
 AdmissionGateway::Certificate AdmissionGateway::classify(
     const workload::Job& job) const noexcept {
   // C1: structurally impossible on every policy.
@@ -218,14 +168,6 @@ AdmissionGateway::Certificate AdmissionGateway::classify(
     if (best_finish > allowed + sim::kTimeEpsilon)
       return Certificate::Deadline;
   }
-  // C3: aggregate saturation — NOT a certificate (per-node admission can
-  // admit under aggregate overload); sheds only when explicitly unsound.
-  if (config_.shedding == GatewayConfig::Shedding::Aggressive) {
-    const std::uint64_t c = scaled_share(job);
-    const std::uint64_t spent = share_scaled_.load(std::memory_order_acquire);
-    if (c > share_budget_scaled_ || spent > share_budget_scaled_ - c)
-      return Certificate::Aggregate;
-  }
   return Certificate::None;
 }
 
@@ -237,36 +179,11 @@ std::optional<trace::RejectionReason> AdmissionGateway::fast_reject_reason(
     case Certificate::NoNode:
       return trace::RejectionReason::NoSuitableNode;
     case Certificate::Share:
-    case Certificate::Aggregate:
       return trace::RejectionReason::ShareOverflow;
     case Certificate::Deadline:
       return trace::RejectionReason::DeadlineInfeasible;
   }
   return std::nullopt;
-}
-
-void AdmissionGateway::note_shed_spike() noexcept {
-  const std::uint64_t now_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  const std::uint64_t window_ns =
-      static_cast<std::uint64_t>(config_.shed_spike_window * 1e9);
-  std::uint64_t start = spike_window_start_ns_.load(std::memory_order_relaxed);
-  if (now_ns - start > window_ns) {
-    // Rotate the window; the one winning producer resets the count. Racing
-    // losers keep counting into the fresh window — the detector is
-    // deliberately approximate (relaxed, never blocking).
-    if (spike_window_start_ns_.compare_exchange_strong(
-            start, now_ns, std::memory_order_relaxed))
-      spike_count_.store(0, std::memory_order_relaxed);
-  }
-  const std::uint64_t in_window =
-      spike_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (in_window == config_.shed_spike_threshold) {
-    spike_events_.fetch_add(1, std::memory_order_relaxed);
-    spike_pending_.store(true, std::memory_order_release);
-  }
 }
 
 SubmitStatus AdmissionGateway::submit(const workload::Job& job) {
@@ -293,13 +210,9 @@ SubmitStatus AdmissionGateway::submit(const workload::Job& job) {
       case Certificate::Deadline:
         shed_deadline_.fetch_add(1, std::memory_order_relaxed);
         break;
-      case Certificate::Aggregate:
-        shed_aggregate_.fetch_add(1, std::memory_order_relaxed);
-        break;
       case Certificate::None:
         break;
     }
-    if (config_.shed_spike_threshold > 0) note_shed_spike();
     return SubmitStatus::FastRejected;
   }
   if (!queue_.push(QueueItem{job, /*pre_shed=*/false,
@@ -339,23 +252,6 @@ void AdmissionGateway::drive() {
           shed_pending_.insert(job.id);
         }
       }
-      if (!outcome.rejected()) {
-        // Add-on-admit — unless the job already resolved inside its own
-        // arrival step (zero-runtime completion), in which case the
-        // observer has already fired and an add here would never be
-        // subtracted.
-        const metrics::JobRecord& rec = engine_->collector().record(job.id);
-        if (rec.fate == metrics::JobFate::Pending) {
-          const std::uint64_t c = scaled_share(job);
-          if (c > 0) {
-            contributions_.emplace(job.id, c);
-            const std::uint64_t next =
-                share_scaled_.load(std::memory_order_relaxed) + c;
-            share_scaled_.store(next, std::memory_order_release);
-            share_peak_.observe(next);
-          }
-        }
-      }
       if (config_.flight_capacity > 0) {
         obs::FlightEntry entry;
         static_cast<AdmissionOutcome&>(entry) = outcome;
@@ -369,14 +265,6 @@ void AdmissionGateway::drive() {
                                    decide_start)
                                    .count();
         flight_.record(entry);
-      }
-      // Shed-spike dump, issued from the drive thread so the log line and
-      // the flight snapshot come from one place.
-      if (spike_pending_.exchange(false, std::memory_order_acq_rel)) {
-        LIBRISK_LOG(Warn) << "gateway: shed spike (>= "
-                          << config_.shed_spike_threshold << " sheds within "
-                          << config_.shed_spike_window << " s)\n"
-                          << flight_.dump();
       }
     }
   } catch (...) {
@@ -418,13 +306,9 @@ GatewayStats AdmissionGateway::stats() const {
   s.decided = decided_.load(std::memory_order_relaxed);
   s.audit_violations = audit_violations_.load(std::memory_order_relaxed);
   s.queue_high_water = static_cast<std::uint64_t>(queue_.high_water());
-  s.share_scaled_now = share_scaled_.load(std::memory_order_relaxed);
-  s.share_scaled_peak = share_peak_.value();
   s.shed_no_suitable_node = shed_no_node_.load(std::memory_order_relaxed);
   s.shed_share = shed_share_.load(std::memory_order_relaxed);
   s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-  s.shed_aggregate = shed_aggregate_.load(std::memory_order_relaxed);
-  s.shed_spikes = spike_events_.load(std::memory_order_relaxed);
   s.flight_recorded = flight_.recorded();
   s.degraded_admits = degraded_admits_.load(std::memory_order_relaxed);
   return s;

@@ -22,31 +22,23 @@
 //                           DowngradeQoS re-tests against a later deadline.
 //      Policies whose admission test is state-dependent in both directions
 //      (LibraRisk's sigma-only salvage lane admits anything on an empty
-//      node) get no C2 certificate: the conservative gateway never sheds a
-//      job the exact path might admit.
-//
-//      In parallel the gateway maintains the sledge-style aggregate load
-//      accumulator: a fixed-point sum of admitted-but-unresolved jobs'
-//      `estimate/deadline` shares against the scaled cluster capacity —
-//      add-on-admit on the drive thread, subtract-on-resolve through the
-//      Collector's resolution observer. The accumulator is *not* a
-//      certificate for this execution model (an overloaded instant says
-//      nothing about the resident set at this job's nodes), so it sheds
-//      only in the explicitly unsound Shedding::Aggressive mode and is
-//      otherwise a lock-free load telemetry signal.
+//      node) get no C2 certificate: the gateway never sheds a job the exact
+//      path might admit. Aggregate in-flight load is no certificate either
+//      — admission is per node, so an overloaded cluster says nothing about
+//      the resident set at this job's nodes — and the gate never reads it.
 //
 //   2. A bounded MPSC queue (support::BoundedQueue) draining into the
 //      engine, whose clock a dedicated drive thread advances. The drive
-//      thread is the only thread that touches the engine, the hooks, and
-//      the accumulator's write side. Between jobs it spins on the queue's
-//      occupancy for up to BoundedQueue::kSpinBound (200 µs) before it
-//      parks, and a producer pays a wake-up only when it has parked: at a
-//      steady 10 k jobs/s a submit is a short critical section and the
-//      job is picked up within a microsecond. The price is CPU, up to a
-//      whole core while jobs arrive faster than one per spin bound; an
-//      idle gateway parks. The queue bounds memory and applies
-//      backpressure: a producer that finds it full sleeps until the drive
-//      thread has drained it to half its capacity.
+//      thread is the only thread that touches the engine and the hooks.
+//      Between jobs it spins on the queue's occupancy for up to
+//      BoundedQueue::kSpinBound (200 µs) before it parks, and a producer
+//      pays a wake-up only when it has parked: at a steady 10 k jobs/s a
+//      submit is a short critical section and the job is picked up within
+//      a microsecond. The price is CPU, up to a whole core while jobs
+//      arrive faster than one per spin bound; an idle gateway parks. The
+//      queue bounds memory and applies backpressure: a producer that finds
+//      it full sleeps until the drive thread has drained it to half its
+//      capacity.
 //
 // Determinism: with a single producer submitting a monotone stream, the
 // drive thread replays exactly `advance_to + submit` per job — byte-
@@ -72,12 +64,10 @@
 #include <memory>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "core/engine.hpp"
 #include "obs/flight.hpp"
-#include "obs/highwater.hpp"
 #include "support/bounded_queue.hpp"
 
 namespace librisk::core {
@@ -91,31 +81,9 @@ struct GatewayConfig {
   /// Keep replaying fast-rejected jobs through the exact path (byte-identity
   /// + self-audit). Disable only to measure gate throughput.
   bool audit_shed = true;
-  enum class Shedding : std::uint8_t {
-    /// Shed only on certificates (C1/C2): provably never sheds a job the
-    /// exact path would admit.
-    Conservative,
-    /// Additionally shed when the aggregate accumulator is saturated.
-    /// Documented unsound for this execution model — admission here is
-    /// per-node, not aggregate — but bounds work under overload.
-    Aggressive,
-  };
-  Shedding shedding = Shedding::Conservative;
-  /// Fixed-point scale for the share accumulator (sledge-serverless uses
-  /// the same power-of-two idiom): one processor-share = `granularity`.
-  std::uint64_t granularity = std::uint64_t{1} << 20;
-  /// Aggressive only: shed when in-flight share exceeds
-  /// `headroom * total_speed_factor` processors.
-  double aggregate_headroom = 1.0;
   /// Flight-recorder ring capacity (last N decisions with wall-clock
   /// timing, obs::FlightRecorder); 0 disables it entirely.
   std::size_t flight_capacity = 256;
-  /// Shed-spike dump: when at least this many jobs are fast-shed within
-  /// `shed_spike_window` wall seconds, the drive thread logs one flight-
-  /// recorder dump (Warn level). 0 disables. The window bookkeeping is
-  /// producer-side relaxed atomics — approximate by design, never blocking.
-  std::uint64_t shed_spike_threshold = 0;
-  double shed_spike_window = 1.0;  ///< wall seconds
 };
 
 /// What a producer learns synchronously. The admission *decision* is made
@@ -140,14 +108,10 @@ struct GatewayStats {
   /// queued shed to resolution. Any nonzero value falsifies a certificate.
   std::uint64_t audit_violations = 0;
   std::uint64_t queue_high_water = 0;     ///< peak drive-queue occupancy
-  std::uint64_t share_scaled_now = 0;     ///< accumulator (granularity units)
-  std::uint64_t share_scaled_peak = 0;    ///< its high-water mark
   /// `fast_rejected` attributed by certificate (sums to it):
   std::uint64_t shed_no_suitable_node = 0;  ///< C1
   std::uint64_t shed_share = 0;             ///< C2-share (Libra)
   std::uint64_t shed_deadline = 0;          ///< C2-deadline (EDF family, QoPS)
-  std::uint64_t shed_aggregate = 0;         ///< C3 (Aggressive mode only)
-  std::uint64_t shed_spikes = 0;   ///< spike-threshold crossings observed
   std::uint64_t flight_recorded = 0;  ///< decisions offered to the recorder
   /// Engine decisions that came back as DowngradeQoS admissions
   /// (core/overload.hpp); 0 under HardReject. Also counted in the engine's
@@ -158,7 +122,7 @@ struct GatewayStats {
 class AdmissionGateway {
  public:
   /// Builds the engine, derives the fast-reject certificates from the
-  /// policy, registers the subtract-on-resolve observer and the gateway's
+  /// policy, registers the shed-audit resolution observer and the gateway's
   /// telemetry (when hooks carry a hub), and starts the drive thread.
   explicit AdmissionGateway(GatewayConfig config);
   AdmissionGateway(const AdmissionGateway&) = delete;
@@ -179,9 +143,9 @@ class AdmissionGateway {
   void close();
 
   /// The fast-reject predicate by itself: the reason the gate would shed
-  /// `job`, or nullopt if it would pass. Pure in Conservative mode; in
-  /// Aggressive mode also reads the live accumulator. Exposed for the
-  /// differential conservativeness tests.
+  /// `job`, or nullopt if it would pass. Pure: it reads only parameters
+  /// fixed at construction. Exposed for the differential conservativeness
+  /// tests.
   [[nodiscard]] std::optional<trace::RejectionReason> fast_reject_reason(
       const workload::Job& job) const noexcept;
 
@@ -216,18 +180,15 @@ class AdmissionGateway {
   };
 
   /// Which fast-reject certificate fires for a job (None = passes the
-  /// gate). The public fast_reject_reason() collapses this to the trace
-  /// vocabulary, where C2-share and C3 are both ShareOverflow.
+  /// gate). The public fast_reject_reason() maps it to the trace
+  /// vocabulary.
   enum class Certificate : std::uint8_t {
     None,
-    NoNode,     ///< C1
-    Share,      ///< C2-share
-    Deadline,   ///< C2-deadline
-    Aggregate,  ///< C3
+    NoNode,    ///< C1
+    Share,     ///< C2-share
+    Deadline,  ///< C2-deadline
   };
   [[nodiscard]] Certificate classify(const workload::Job& job) const noexcept;
-  /// Producer-side windowed spike detector (relaxed atomics, approximate).
-  void note_shed_spike() noexcept;
 
   /// Certificate parameters, derived once from policy + options; const
   /// after construction, so producer reads need no synchronisation.
@@ -243,22 +204,12 @@ class AdmissionGateway {
   };
 
   void drive();
-  /// Fixed-point accumulator contribution of one job (saturating).
-  [[nodiscard]] std::uint64_t scaled_share(const workload::Job& job) const noexcept;
 
   GatewayConfig config_;
   FastRejectModel model_;
-  std::uint64_t share_budget_scaled_ = 0;  ///< Aggressive shed threshold
   std::unique_ptr<AdmissionEngine> engine_;
   support::BoundedQueue<QueueItem> queue_;
 
-  // Accumulator: single writer (drive thread), lock-free readers.
-  std::atomic<std::uint64_t> share_scaled_{0};
-  obs::HighWater share_peak_;
-  /// Drive-thread-only: exact contribution added per live job, so
-  /// subtract-on-resolve removes precisely what add-on-admit added (no
-  /// drift, no underflow).
-  std::unordered_map<std::int64_t, std::uint64_t> contributions_;
   /// Drive-thread-only: pre-shed jobs the engine queued rather than decided
   /// at submit (EDF-family sheds reject at dispatch time); the resolution
   /// observer audits each one's final fate.
@@ -274,7 +225,6 @@ class AdmissionGateway {
   std::atomic<std::uint64_t> shed_no_node_{0};
   std::atomic<std::uint64_t> shed_share_{0};
   std::atomic<std::uint64_t> shed_deadline_{0};
-  std::atomic<std::uint64_t> shed_aggregate_{0};
   // Degraded-admit attribution (drive-thread writes, any reader).
   std::atomic<std::uint64_t> degraded_admits_{0};
 
@@ -285,12 +235,6 @@ class AdmissionGateway {
   obs::Histogram* queue_wait_hist_ = nullptr;
   obs::Histogram* decide_hist_ = nullptr;
   bool flight_merged_ = false;
-
-  // Shed-spike window (producer-side, approximate by design).
-  std::atomic<std::uint64_t> spike_window_start_ns_{0};
-  std::atomic<std::uint64_t> spike_count_{0};
-  std::atomic<std::uint64_t> spike_events_{0};
-  std::atomic<bool> spike_pending_{false};
 
   /// Drive-thread-only submit-time watermark: with several producers a job
   /// can reach the queue behind one with a later stamp; clamping to the

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#if defined(LIBRISK_RISK_SIMD) && defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #include "cluster/share_model.hpp"
 #include "support/check.hpp"
 
@@ -236,8 +232,8 @@ CandidateTerms candidate_terms(double work, double deadline,
 
 // Resident power sums of one node, strict order: the scalar fused loop's
 // left-fold over the SoA spans, accumulator for accumulator.
-ResidentRiskAggregates fold_residents_strict(const NodeRiskInput& node,
-                                             const RiskConfig& config) noexcept {
+ResidentRiskAggregates fold_residents(const NodeRiskInput& node,
+                                      const RiskConfig& config) noexcept {
   ResidentRiskAggregates agg;
   const std::size_t n = node.remaining_work.size();
   for (std::size_t i = 0; i < n; ++i) {
@@ -250,152 +246,6 @@ ResidentRiskAggregates fold_residents_strict(const NodeRiskInput& node,
   }
   agg.computed = true;
   return agg;
-}
-
-#if defined(LIBRISK_RISK_SIMD) && defined(__AVX2__)
-
-// Explicit AVX2 lane for the Reassociated mode: four residents per step,
-// branchless selects instead of the scalar branches. Per-element values are
-// identical to the strict fold (same expressions, blended); only the
-// partial-sum grouping differs, which is what Reassociated licenses.
-ResidentRiskAggregates fold_residents_avx2(const NodeRiskInput& node,
-                                           const RiskConfig& config) noexcept {
-  ResidentRiskAggregates agg;
-  const std::size_t n = node.remaining_work.size();
-  const double clamp = config.deadline_clamp;
-  const double speed = node.speed_factor;
-
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vclamp = _mm256_set1_pd(clamp);
-  const __m256d vspeed = _mm256_set1_pd(speed);
-  const __m256d vstarved = _mm256_set1_pd(kStarvedFinish);
-  __m256d vshare_sum = vzero;
-  __m256d vdd_sum = vzero;
-  __m256d vdd_sum_sq = vzero;
-  __m256d vdd_max = vzero;
-  __m256d vdd_min = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d w = _mm256_loadu_pd(node.remaining_work.data() + i);
-    const __m256d d = _mm256_loadu_pd(node.remaining_deadline.data() + i);
-    const __m256d r = _mm256_loadu_pd(node.rate.data() + i);
-    const __m256d wpos = _mm256_cmp_pd(w, vzero, _CMP_GT_OQ);
-    // share = w > 0 ? w / (max(d, clamp) * speed) : 0
-    const __m256d horizon = _mm256_max_pd(d, vclamp);
-    const __m256d share =
-        _mm256_and_pd(_mm256_div_pd(w, _mm256_mul_pd(horizon, vspeed)), wpos);
-    // finish = w > 0 ? min(r > 0 ? w / r : starved, starved) : 0
-    const __m256d rpos = _mm256_cmp_pd(r, vzero, _CMP_GT_OQ);
-    __m256d finish = _mm256_blendv_pd(vstarved, _mm256_div_pd(w, r), rpos);
-    finish = _mm256_min_pd(finish, vstarved);
-    finish = _mm256_and_pd(finish, wpos);
-    // delay = w > 0 ? max(0, finish - d) : max(-d, 0)
-    const __m256d late = _mm256_max_pd(vzero, _mm256_sub_pd(finish, d));
-    const __m256d past = _mm256_max_pd(_mm256_sub_pd(vzero, d), vzero);
-    const __m256d delay = _mm256_blendv_pd(past, late, wpos);
-    // dd = (delay + max(d, clamp)) / max(d, clamp)
-    const __m256d dd =
-        _mm256_div_pd(_mm256_add_pd(delay, horizon), horizon);
-    vshare_sum = _mm256_add_pd(vshare_sum, share);
-    vdd_sum = _mm256_add_pd(vdd_sum, dd);
-    vdd_sum_sq = _mm256_add_pd(vdd_sum_sq, _mm256_mul_pd(dd, dd));
-    vdd_max = _mm256_max_pd(vdd_max, dd);
-    vdd_min = _mm256_min_pd(vdd_min, dd);
-  }
-
-  // Fixed-order lane reduction (deterministic for a given build).
-  alignas(32) double lanes[4];
-  const auto reduce_add = [&lanes](__m256d v) {
-    _mm256_store_pd(lanes, v);
-    return ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
-  };
-  _mm256_store_pd(lanes, vdd_max);
-  agg.dd_max = std::max(std::max(lanes[0], lanes[1]),
-                        std::max(lanes[2], lanes[3]));
-  _mm256_store_pd(lanes, vdd_min);
-  agg.dd_min = std::min(std::min(lanes[0], lanes[1]),
-                        std::min(lanes[2], lanes[3]));
-  agg.share_sum = reduce_add(vshare_sum);
-  agg.dd_sum = reduce_add(vdd_sum);
-  agg.dd_sum_sq = reduce_add(vdd_sum_sq);
-
-  for (; i < n; ++i) {
-    const double share = cluster::required_share(node.remaining_work[i],
-                                                 node.remaining_deadline[i],
-                                                 clamp, speed);
-    agg.fold(share, node.remaining_work[i], node.remaining_deadline[i],
-             node.rate[i], clamp);
-  }
-  agg.count = n;
-  agg.computed = true;
-  return agg;
-}
-
-#endif  // LIBRISK_RISK_SIMD && __AVX2__
-
-// Reassociated mode: four independent accumulator lanes so the compiler can
-// keep the divide pipeline full (and autovectorize under -march=x86-64-v3);
-// the explicit AVX2 kernel takes over when compiled in. Element values match
-// the strict fold exactly — only summation grouping differs, bounded as
-// documented on RiskConfig::Accumulation.
-ResidentRiskAggregates fold_residents_reassociated(
-    const NodeRiskInput& node, const RiskConfig& config) noexcept {
-#if defined(LIBRISK_RISK_SIMD) && defined(__AVX2__)
-  return fold_residents_avx2(node, config);
-#else
-  ResidentRiskAggregates agg;
-  const std::size_t n = node.remaining_work.size();
-  const double clamp = config.deadline_clamp;
-  const double speed = node.speed_factor;
-  double share_sum[4] = {0.0, 0.0, 0.0, 0.0};
-  double dd_sum[4] = {0.0, 0.0, 0.0, 0.0};
-  double dd_sum_sq[4] = {0.0, 0.0, 0.0, 0.0};
-  double dd_max[4] = {0.0, 0.0, 0.0, 0.0};
-  double dd_min[4] = {std::numeric_limits<double>::infinity(),
-                      std::numeric_limits<double>::infinity(),
-                      std::numeric_limits<double>::infinity(),
-                      std::numeric_limits<double>::infinity()};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (std::size_t lane = 0; lane < 4; ++lane) {
-      const std::size_t k = i + lane;
-      const double w = node.remaining_work[k];
-      const double d = node.remaining_deadline[k];
-      const double r = node.rate[k];
-      const double horizon = std::max(d, clamp);
-      const double share = w > 0.0 ? w / (horizon * speed) : 0.0;
-      double finish = r > 0.0 ? w / r : kStarvedFinish;
-      finish = std::min(finish, kStarvedFinish);
-      finish = w > 0.0 ? finish : 0.0;
-      const double delay =
-          w > 0.0 ? std::max(0.0, finish - d) : std::max(-d, 0.0);
-      const double dd = (delay + horizon) / horizon;
-      share_sum[lane] += share;
-      dd_sum[lane] += dd;
-      dd_sum_sq[lane] += dd * dd;
-      dd_max[lane] = std::max(dd_max[lane], dd);
-      dd_min[lane] = std::min(dd_min[lane], dd);
-    }
-  }
-  agg.share_sum = ((share_sum[0] + share_sum[1]) + share_sum[2]) + share_sum[3];
-  agg.dd_sum = ((dd_sum[0] + dd_sum[1]) + dd_sum[2]) + dd_sum[3];
-  agg.dd_sum_sq = ((dd_sum_sq[0] + dd_sum_sq[1]) + dd_sum_sq[2]) + dd_sum_sq[3];
-  agg.dd_max = std::max(std::max(dd_max[0], dd_max[1]),
-                        std::max(dd_max[2], dd_max[3]));
-  agg.dd_min = std::min(std::min(dd_min[0], dd_min[1]),
-                        std::min(dd_min[2], dd_min[3]));
-  for (; i < n; ++i) {
-    const double share = cluster::required_share(node.remaining_work[i],
-                                                 node.remaining_deadline[i],
-                                                 clamp, speed);
-    agg.fold(share, node.remaining_work[i], node.remaining_deadline[i],
-             node.rate[i], clamp);
-  }
-  agg.count = n;
-  agg.computed = true;
-  return agg;
-#endif
 }
 
 }  // namespace
@@ -455,9 +305,7 @@ void assess_nodes(std::span<const NodeRiskInput> nodes, double candidate_work,
     ResidentRiskAggregates folded;
     const ResidentRiskAggregates* agg = node.aggregates;
     if (!cached) {
-      folded = config.batch_accumulation == RiskConfig::Accumulation::Strict
-                   ? fold_residents_strict(node, config)
-                   : fold_residents_reassociated(node, config);
+      folded = fold_residents(node, config);
       agg = &folded;
     }
     verdict.aggregate_path = cached;

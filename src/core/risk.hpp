@@ -70,20 +70,6 @@ struct RiskConfig {
   ///    kept as an ablation.
   enum class Rule { SigmaAndNoDelay, SigmaOnly };
   Rule rule = Rule::SigmaOnly;
-  /// How the batched kernel (assess_nodes) accumulates per-resident terms:
-  ///  - Strict (default): one left-fold in resident order, the exact
-  ///    operation sequence of the scalar assess_node — results (and hence
-  ///    decisions and .lrt traces) are bit-identical to the scalar kernel.
-  ///  - Reassociated: multi-accumulator / SIMD-lane partial sums (and the
-  ///    explicit AVX2 path when built with LIBRISK_RISK_SIMD). Changes the
-  ///    floating-point grouping, so sums differ from Strict by at most the
-  ///    classical reassociation bound |Δsum| <= n*eps*Σ|term| (eps =
-  ///    2^-53); see docs/MODEL.md "SoA layout and the batched kernel" for
-  ///    the induced sigma bound. Opt-in precisely because it is *not*
-  ///    bit-identical: decisions can flip only when sigma sits within that
-  ///    bound of sigma_threshold + tolerance.
-  enum class Accumulation { Strict, Reassociated };
-  Accumulation batch_accumulation = Accumulation::Strict;
 };
 
 /// Eq. 3 clamped at zero: a job completing before its deadline has no delay.
@@ -334,11 +320,9 @@ struct AssessNodesOptions {
 /// assessment"). Per node: the O(1) cached-aggregate path when
 /// `aggregates` is supplied, otherwise a branch-light fused loop over the
 /// SoA spans (CurrentRate), otherwise the scalar workspace kernel staged
-/// through `workspace.inputs` (ProcessorSharing / ProportionalShare). Under
-/// RiskConfig::Accumulation::Strict every path reproduces the scalar
-/// assess_node bit-for-bit; Reassociated trades bits for vectorizable
-/// partial sums within the documented bound. `verdicts` must have at least
-/// `nodes.size()` entries.
+/// through `workspace.inputs` (ProcessorSharing / ProportionalShare). Every
+/// path reproduces the scalar assess_node bit-for-bit. `verdicts` must have
+/// at least `nodes.size()` entries.
 void assess_nodes(std::span<const NodeRiskInput> nodes, double candidate_work,
                   double candidate_deadline, const RiskConfig& config,
                   RiskWorkspace& workspace, std::span<NodeRiskVerdict> verdicts,

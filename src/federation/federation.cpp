@@ -103,6 +103,9 @@ Federation::Federation(FederationConfig config)
       if (it == raw->contributions.end()) return;
       raw->inflight_share -= it->second;
       raw->contributions.erase(it);
+      // Subtraction leaves a rounding residue; an idle shard must read
+      // exactly 0 so that idle shards tie in LeastRisk and the spill lane.
+      if (raw->contributions.empty()) raw->inflight_share = 0.0;
     });
 
     ShardView view;

@@ -3,14 +3,14 @@
 // "Flight recorder").
 //
 // The concurrent gateway (core::AdmissionGateway) decides jobs on its drive
-// thread while producers only see a coarse SubmitStatus. When a shed spike
-// or a latency stall hits, the aggregate counters say *that* it happened but
-// not *what* the decisions around it looked like. The flight recorder keeps
-// exactly that: a bounded ring of the most recent decisions — the engine's
-// trace::DecisionRecord (verdict, reason, chosen node, sigma, admission
-// margin) plus queue wait and decide latency — and two wall-clock
-// histograms (queue-wait and decide latency) that the gateway merges into
-// its registry at close() for OpenMetrics export.
+// thread while producers only see a coarse SubmitStatus. When a burst of
+// sheds or a latency stall hits, the aggregate counters say *that* it
+// happened but not *what* the decisions around it looked like. The flight
+// recorder keeps exactly that: a bounded ring of the most recent decisions
+// — the engine's trace::DecisionRecord (verdict, reason, chosen node,
+// sigma, admission margin) plus queue wait and decide latency — and two
+// wall-clock histograms (queue-wait and decide latency) that the gateway
+// merges into its registry at close() for OpenMetrics export.
 //
 // Threading: record() is called from the single drive thread; snapshot(),
 // the histogram copies and dump() may be called from any thread (the
@@ -72,8 +72,8 @@ class FlightRecorder {
   [[nodiscard]] Histogram queue_wait_histogram() const;
   [[nodiscard]] Histogram decide_histogram() const;
 
-  /// Human rendering of snapshot() plus the latency quantiles — what the
-  /// gateway writes on a shed spike and `replay` prints on demand.
+  /// Human rendering of snapshot() plus the latency quantiles, for an
+  /// on-demand incident dump.
   [[nodiscard]] std::string dump() const;
 
   void clear();

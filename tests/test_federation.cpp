@@ -23,6 +23,7 @@
 #include "federation/federation.hpp"
 #include "federation/router.hpp"
 #include "helpers.hpp"
+#include "obs/telemetry.hpp"
 #include "support/check.hpp"
 #include "trace/recorder.hpp"
 #include "trace/sink.hpp"
@@ -353,6 +354,41 @@ TEST(Federation, ConservesEveryJobExactlyOnce) {
                 total.rejected_at_submit + total.rejected_at_dispatch,
             jobs.size())
       << "every job resolves to exactly one fate";
+}
+
+TEST(Federation, InflightShareReturnsToExactlyZero) {
+  // Each shard adds a routed job's share when the job is admitted and
+  // subtracts it when the job resolves. After finish() every shard is idle,
+  // so its ledger must read exactly 0.0, not a rounding residue: LeastRisk
+  // and the spill lane break load ties toward the lowest index, which holds
+  // only if idle shards tie exactly. Every 7th job is near-instant
+  // (Job::validate requires runtime > 0), and jobs rejected at submit
+  // resolve before the add is reached.
+  std::vector<workload::Job> jobs = paper_jobs(2000);
+  for (std::size_t i = 6; i < jobs.size(); i += 7) jobs[i].actual_runtime = 1e-9;
+  for (const RoutePolicy policy :
+       {RoutePolicy::RoundRobin, RoutePolicy::LeastRisk}) {
+    SCOPED_TRACE(federation::to_string(policy));
+    FederationConfig config = make_federation_config(3, 16, policy);
+    std::vector<std::unique_ptr<obs::Telemetry>> hubs;
+    for (ShardConfig& shard : config.shards) {
+      hubs.push_back(std::make_unique<obs::Telemetry>());
+      shard.engine.options.hooks.telemetry = hubs.back().get();
+    }
+    Federation fed(std::move(config));
+    for (const workload::Job& job : jobs) fed.submit(job);
+    fed.finish();
+
+    const federation::FederationSummary summary = fed.summary();
+    EXPECT_GT(summary.total.rejected_at_submit, 0u);
+    for (std::size_t k = 0; k < hubs.size(); ++k) {
+      SCOPED_TRACE("shard " + std::to_string(k));
+      const obs::Registry& reg = hubs[k]->registry();
+      EXPECT_GT(summary.shards[k].routed, 0u);
+      EXPECT_EQ(reg.reading("federation_inflight_share").value, 0.0);
+      EXPECT_EQ(reg.reading("federation_live_jobs").value, 0.0);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@
 //   * determinism — several producers under a fixed interleave produce
 //     byte-identical traces run-to-run (decisions are a pure function of
 //     queue order);
-//   * accounting — the share accumulator returns to exactly zero after
-//     every run (subtract-on-resolve can never underflow or leak);
+//   * accounting — every job is decided and resolved exactly once, near-
+//     instant jobs included, and the per-certificate sheds sum exactly;
 //   * handoff — the queue's spin-then-park consumer loses no wake-up,
 //     blocked producers resume at the low-water mark, and an idle drive
 //     thread parks instead of spinning.
@@ -38,7 +38,6 @@
 #include "core/engine.hpp"
 #include "core/gateway.hpp"
 #include "helpers.hpp"
-#include "obs/highwater.hpp"
 #include "support/bounded_queue.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -119,7 +118,7 @@ TEST_P(GatewayConservative, NeverShedsAJobTheEngineAdmits) {
       const std::vector<Job> jobs =
           spectrum_trace(7 * (c + 1), 120, clusters[c].size(), tight);
 
-      // The gate's predicate is pure in Conservative mode; query it against
+      // The gate's predicate is pure; query it against
       // the verdict of a direct engine fed the same monotone stream.
       core::AdmissionGateway gateway(gateway_config(clusters[c], policy));
       auto engine = engine_for(clusters[c], policy);
@@ -309,34 +308,10 @@ TEST(GatewayEdge, ConservativeModeHasNoC2ForStatefulPolicies) {
   gateway.close();
 }
 
-TEST(GatewayEdge, SaturatedAccumulatorShedsOnlyInAggressiveMode) {
-  // A near-zero deadline drives the fixed-point contribution into the
-  // 9e18 saturation clamp — far past any budget — so Aggressive sheds via
-  // C3 even on a policy with no certificate at all.
-  const cluster::Cluster cluster = cluster::Cluster::homogeneous(4, 168.0);
-  const Job job = JobBuilder(1).submit(1.0).set_runtime(100.0).deadline(1e-9);
-
-  core::GatewayConfig aggressive =
-      gateway_config(cluster, core::Policy::LibraRisk);
-  aggressive.shedding = core::GatewayConfig::Shedding::Aggressive;
-  aggressive.granularity = std::uint64_t{1} << 40;
-  aggressive.audit_shed = false;  // drop mode: sheds never reach the engine
-  core::AdmissionGateway gateway(std::move(aggressive));
-  const auto reason = gateway.fast_reject_reason(job);
-  ASSERT_TRUE(reason.has_value());
-  EXPECT_EQ(*reason, trace::RejectionReason::ShareOverflow);
-  EXPECT_EQ(gateway.submit(job), core::SubmitStatus::FastRejected);
-  gateway.close();
-  const core::GatewayStats stats = gateway.stats();
-  EXPECT_EQ(stats.fast_rejected, 1u);
-  EXPECT_EQ(stats.enqueued, 0u);  // dropped at the gate, never decided
-  EXPECT_EQ(stats.decided, 0u);
-}
-
-TEST(GatewayEdge, AccumulatorReturnsToZeroAfterEveryRun) {
-  // Subtract-on-resolve must remove exactly what add-on-admit added —
-  // including for zero-runtime jobs (resolved inside their own arrival
-  // step, so they must never be added) and rejected jobs (never added).
+TEST(GatewayEdge, NearInstantJobsResolveAndConserve) {
+  // Near-instant jobs resolve inside (or a whisker after) their own arrival
+  // step; rejected jobs resolve at submit. Every one must still be decided
+  // once and resolved once.
   const cluster::Cluster cluster = cluster::Cluster::homogeneous(8, 168.0);
   core::GatewayConfig config = gateway_config(cluster, core::Policy::Libra);
   core::AdmissionGateway gateway(std::move(config));
@@ -345,8 +320,7 @@ TEST(GatewayEdge, AccumulatorReturnsToZeroAfterEveryRun) {
   for (int i = 1; i <= 200; ++i) {
     t += stream.uniform(1.0, 20.0);
     // Every 7th job is near-instant (Job::validate requires runtime > 0):
-    // it resolves within a whisker of its arrival, stressing the
-    // add-then-immediately-subtract ordering.
+    // it resolves within a whisker of its arrival.
     const double runtime = i % 7 == 0 ? 1e-9 : stream.uniform(10.0, 300.0);
     const Job job = JobBuilder(i)
                         .submit(t)
@@ -359,10 +333,8 @@ TEST(GatewayEdge, AccumulatorReturnsToZeroAfterEveryRun) {
     gateway.submit(job);
   }
   gateway.close();
-  const core::GatewayStats stats = gateway.stats();
-  EXPECT_EQ(stats.share_scaled_now, 0u)
-      << "accumulator leaked or underflowed (wrapped)";
-  EXPECT_GT(stats.share_scaled_peak, 0u);
+  EXPECT_EQ(gateway.stats().decided, 200u);
+  EXPECT_EQ(gateway.engine().summary().submitted, 200u);
   EXPECT_TRUE(gateway.engine().collector().all_resolved());
 }
 
@@ -463,7 +435,6 @@ TEST(GatewayConcurrent, FreeRunningProducersConserveEveryJob) {
   EXPECT_EQ(stats.enqueued, stats.submitted);  // audit mode replays sheds
   EXPECT_EQ(stats.decided, stats.enqueued);
   EXPECT_EQ(stats.audit_violations, 0u);
-  EXPECT_EQ(stats.share_scaled_now, 0u);
   EXPECT_LE(stats.queue_high_water, 64u);
   EXPECT_EQ(gateway.engine().jobs_submitted(),
             static_cast<std::size_t>(kProducers) * kPerProducer);
@@ -530,13 +501,11 @@ TEST(GatewayFlight, RecordsEveryDecisionAndShedCertificatesSum) {
     const core::GatewayStats stats = gateway.stats();
     // The certificate attribution partitions the shed count exactly.
     EXPECT_EQ(stats.shed_no_suitable_node + stats.shed_share +
-                  stats.shed_deadline + stats.shed_aggregate,
+                  stats.shed_deadline,
               stats.fast_rejected)
         << core::to_string(policy);
-    // spectrum_trace oversizes some jobs, so C1 fires on every policy;
-    // Conservative mode never uses the aggregate certificate.
+    // spectrum_trace oversizes some jobs, so C1 fires on every policy.
     EXPECT_GT(stats.shed_no_suitable_node, 0u) << core::to_string(policy);
-    EXPECT_EQ(stats.shed_aggregate, 0u) << core::to_string(policy);
     if (policy == core::Policy::Libra) {
       EXPECT_GT(stats.shed_share, 0u);
     }
@@ -662,31 +631,6 @@ TEST(GatewayFlight, ConcurrentSnapshotWhileDeciding) {
   EXPECT_EQ(stats.flight_recorded, stats.decided);
   EXPECT_EQ(stats.decided,
             static_cast<std::uint64_t>(kProducers) * kPerProducer);
-}
-
-TEST(GatewayFlight, ShedSpikeDetectorCountsBursts) {
-  // A burst of certifiably hopeless jobs crosses the spike threshold; the
-  // drive thread logs one flight dump and the crossing is counted.
-  core::GatewayConfig config = gateway_config(
-      cluster::Cluster::homogeneous(4, 168.0), core::Policy::LibraRisk);
-  config.shed_spike_threshold = 8;
-  config.shed_spike_window = 60.0;  // one wall-clock window for the test
-  core::AdmissionGateway gateway(std::move(config));
-  double t = 0.0;
-  for (int i = 0; i < 32; ++i) {
-    t += 1.0;
-    (void)gateway.submit(JobBuilder(i + 1)
-                             .submit(t)
-                             .set_runtime(10.0)
-                             .deadline(50.0)
-                             .procs(8)  // > cluster size: C1 sheds
-                             .build());
-  }
-  gateway.close();
-  const core::GatewayStats stats = gateway.stats();
-  EXPECT_EQ(stats.fast_rejected, 32u);
-  EXPECT_EQ(stats.shed_no_suitable_node, 32u);
-  EXPECT_GE(stats.shed_spikes, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -921,24 +865,6 @@ TEST(BoundedQueue, ManyProducersLoseNothingAndKeepPerProducerOrder) {
   EXPECT_EQ(popped, kProducers * kPerProducer);
   for (const std::uint64_t seq : next_seq) EXPECT_EQ(seq, kPerProducer);
   EXPECT_LE(queue.high_water(), kCapacity);
-}
-
-// ---------------------------------------------------------------------------
-// HighWater.
-
-TEST(HighWater, ConcurrentObserversKeepTheMaximum) {
-  obs::HighWater mark;
-  std::vector<std::thread> threads;
-  for (int lane = 0; lane < 4; ++lane) {
-    threads.emplace_back([&mark, lane] {
-      for (std::uint64_t i = 0; i < 10000; ++i)
-        mark.observe(static_cast<std::uint64_t>(lane) * 10000 + i);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(mark.value(), 39999u);
-  mark.observe(5);  // lower observation never regresses the mark
-  EXPECT_EQ(mark.value(), 39999u);
 }
 
 // ---------------------------------------------------------------------------

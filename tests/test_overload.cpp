@@ -283,8 +283,8 @@ TEST(OverloadAccounting, GatewayCertificateShedsSumToFastRejected) {
       for (const workload::Job& job : jobs) gateway.submit(job);
       gateway.close();
       const core::GatewayStats gs = gateway.stats();
-      EXPECT_EQ(gs.fast_rejected, gs.shed_no_suitable_node + gs.shed_share +
-                                      gs.shed_deadline + gs.shed_aggregate)
+      EXPECT_EQ(gs.fast_rejected,
+                gs.shed_no_suitable_node + gs.shed_share + gs.shed_deadline)
           << "policy " << core::to_string(policy) << ", mode " << name;
       // EDF and EDF-BF drop C2-deadline under DowngradeQoS; shedding must
       // stay conservative either way — the audit replays every shed.

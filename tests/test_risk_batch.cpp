@@ -6,15 +6,13 @@
 //
 // Populations 0-256, heterogeneous speed factors, negative/past remaining
 // deadlines, zero-rate (starved) residents, zero-spare-capacity nodes, and
-// all three RiskConfig::Prediction modes. Strict accumulation must be
-// bitwise the scalar kernel; Reassociated must stay within the documented
-// reassociation bound (|Δsum| <= n * eps * Σ|term|).
+// all three RiskConfig::Prediction modes. The batched kernel must be
+// bitwise the scalar kernel.
 #include "core/risk.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "cluster/share_model.hpp"
@@ -112,7 +110,7 @@ constexpr RiskConfig::Prediction kPredictions[] = {
     RiskConfig::Prediction::ProportionalShare,
 };
 
-// ---- Strict accumulation: bitwise the scalar kernel, all modes ----------
+// ---- Batched kernel: bitwise the scalar kernel, all modes --------------
 
 TEST(RiskBatch, StrictMatchesScalarAndLegacyBitwise) {
   rng::Stream s(20260807);
@@ -233,49 +231,6 @@ TEST(RiskBatch, MisalignedColumnsThrowWithOrWithoutAggregates) {
   input.aggregates = &agg;
   EXPECT_THROW(assess_nodes({&input, 1}, 10.0, 100.0, config, ws, {&verdict, 1}),
                CheckError);
-}
-
-// ---- Reassociated accumulation: within the documented bound -------------
-
-TEST(RiskBatch, ReassociatedWithinReassociationBound) {
-  rng::Stream s(4242);
-  RiskWorkspace scalar_ws;
-  RiskWorkspace batch_ws;
-  for (int trial = 0; trial < 150; ++trial) {
-    RiskConfig config = random_config(s, RiskConfig::Prediction::CurrentRate);
-    config.batch_accumulation = RiskConfig::Accumulation::Reassociated;
-    const NodeCase node = random_node(s, population_for_trial(s, trial));
-    const double cand_work = s.uniform(1.0, 50000.0);
-    const double cand_deadline = s.uniform(-100.0, 100000.0);
-
-    NodeRiskInput input = to_batch_input(node);
-    NodeRiskVerdict verdict;
-    assess_nodes({&input, 1}, cand_work, cand_deadline, config, batch_ws,
-                 {&verdict, 1});
-
-    const auto inputs = to_inputs(node, cand_work, cand_deadline);
-    const RiskAssessmentView scalar =
-        assess_node(inputs, config, node.speed, node.capacity, scalar_ws);
-    // |Δsum| <= n * eps * Σ|term|: per-element values are identical, only
-    // summation grouping differs, so the error is bounded by the classic
-    // left-fold vs tree-fold reassociation bound. mu/sigma inherit it with
-    // small constant factors; max is exact (max is associative).
-    const double n = static_cast<double>(inputs.size());
-    const double eps = std::numeric_limits<double>::epsilon();
-    const double share_scale = std::abs(scalar.total_share) + 1.0;
-    const double dd_scale = std::abs(scalar.mu) * n + n;
-    EXPECT_NEAR(verdict.total_share, scalar.total_share,
-                4.0 * n * eps * share_scale);
-    EXPECT_NEAR(verdict.mu, scalar.mu, 4.0 * eps * dd_scale);
-    // sigma = sqrt(max(0, q/n - m^2)): propagate the sum bound through the
-    // difference; sqrt halves relative error but keep the slack generous.
-    const double var_tol =
-        8.0 * eps * (std::abs(scalar.sigma) * std::abs(scalar.sigma) +
-                     scalar.mu * scalar.mu + 1.0) * n;
-    EXPECT_NEAR(verdict.sigma * verdict.sigma, scalar.sigma * scalar.sigma,
-                var_tol);
-    EXPECT_EQ(verdict.max_deadline_delay, scalar.max_deadline_delay);
-  }
 }
 
 // ---- Early-exit bound: conservative, never skips an acceptable node -----

@@ -153,19 +153,21 @@ TEST(TimeShared, NodeTotalShareRawVsCurrent) {
   f.executor.start(job, {0});
   f.simulator.run_until(401.0);
   f.executor.sync();
-  const double raw = f.executor.node_total_share(0, TimeSharedExecutor::EstimateKind::Raw);
+  const double raw = f.executor.node_state(0, kStateSharesRaw).total_share_raw;
   const double current =
-      f.executor.node_total_share(0, TimeSharedExecutor::EstimateKind::Current);
+      f.executor.node_state(0, kStateSharesCurrent).total_share_current;
   EXPECT_NEAR(raw, 0.0, 1e-9);  // Libra believes the node is free
   EXPECT_GT(current, 1.0);      // reality: an overrun job at its deadline
 }
 
 TEST(TimeShared, AvailableCapacityTracksDemands) {
   Fixture f(1, strict_pacing());
-  EXPECT_DOUBLE_EQ(f.executor.node_available_capacity(0), 1.0);
+  EXPECT_DOUBLE_EQ(f.executor.node_state(0, kStateCapacity).available_capacity,
+                   1.0);
   const Job job = JobBuilder(1).set_runtime(100.0).deadline(400.0).build();
   f.executor.start(job, {0});
-  EXPECT_NEAR(f.executor.node_available_capacity(0), 0.75, 1e-9);
+  EXPECT_NEAR(f.executor.node_state(0, kStateCapacity).available_capacity, 0.75,
+              1e-9);
 }
 
 TEST(TimeShared, StartValidation) {
@@ -281,9 +283,9 @@ TEST(TimeShared, InvariantsHoldDuringRandomizedLoad) {
 
 // --- NodeStateView / epoch cache -----------------------------------------
 
-// The cached aggregates must agree exactly with the per-call accessors they
-// replace (which now read through the cache themselves, so cross-check
-// against hand-computed values too).
+// The full view's aggregates must agree exactly with single-part reads of
+// the same node (which share its cache, so cross-check against
+// hand-computed values too).
 TEST(TimeShared, NodeStateAggregatesMatchAccessors) {
   Fixture f(2, strict_pacing());
   const NodeStateView& empty = f.executor.node_state(0);
@@ -302,13 +304,12 @@ TEST(TimeShared, NodeStateAggregatesMatchAccessors) {
   EXPECT_EQ(s.jobs[0]->id, 1);
   EXPECT_EQ(s.jobs[1]->id, 2);
   EXPECT_DOUBLE_EQ(s.total_share_raw,
-                   f.executor.node_total_share(
-                       0, TimeSharedExecutor::EstimateKind::Raw));
-  EXPECT_DOUBLE_EQ(s.total_share_current,
-                   f.executor.node_total_share(
-                       0, TimeSharedExecutor::EstimateKind::Current));
+                   f.executor.node_state(0, kStateSharesRaw).total_share_raw);
+  EXPECT_DOUBLE_EQ(
+      s.total_share_current,
+      f.executor.node_state(0, kStateSharesCurrent).total_share_current);
   EXPECT_DOUBLE_EQ(s.available_capacity,
-                   f.executor.node_available_capacity(0));
+                   f.executor.node_state(0, kStateCapacity).available_capacity);
   // shares: 100/400 + 50/1000 = 0.25 + 0.05
   EXPECT_NEAR(s.total_share_raw, 0.30, 1e-12);
   EXPECT_DOUBLE_EQ(s.min_remaining_deadline, 400.0);

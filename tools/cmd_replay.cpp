@@ -142,11 +142,7 @@ int run_gateway(const ReplayFlags& f, core::Policy policy,
                   table::num(shed_pct(gs.shed_share), 2)});
     shed.add_row({"C2 deadline", std::to_string(gs.shed_deadline),
                   table::num(shed_pct(gs.shed_deadline), 2)});
-    shed.add_row({"C3 aggregate", std::to_string(gs.shed_aggregate),
-                  table::num(shed_pct(gs.shed_aggregate), 2)});
     out << shed.str();
-    if (gs.shed_spikes > 0)
-      out << "shed spikes: " << gs.shed_spikes << " window crossings\n";
   }
   if (gs.flight_recorded > 0) {
     const obs::Histogram wait = gateway.flight().queue_wait_histogram();
