@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <set>
 
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
@@ -24,6 +25,16 @@ constexpr double kWorkEpsilon = 1e-6;
 
 bool same_bits(double a, double b) noexcept {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// A class key's hash: FNV-1a over the speed's bits and the resident ids,
+/// so appending a resident extends a class's hash in one step.
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+std::uint64_t key_seed(double speed) noexcept {
+  return (std::bit_cast<std::uint64_t>(speed) ^ 0xcbf29ce484222325ULL) * kFnvPrime;
+}
+std::uint64_t key_step(std::uint64_t hash, JobId id) noexcept {
+  return (hash ^ static_cast<std::uint64_t>(id)) * kFnvPrime;
 }
 
 bool same_bits(std::span<const double> a, std::span<const double> b) noexcept {
@@ -74,15 +85,30 @@ TimeSharedExecutor::TimeSharedExecutor(sim::Simulator& simulator,
     : sim_(simulator), cluster_(cluster), config_(config) {
   config_.validate();
   const auto n = static_cast<std::size_t>(cluster_.size());
-  node_jobs_.resize(n);
-  node_tasks_.resize(n);
-  node_serial_.assign(n, 1);
-  node_cache_.resize(n);
+  // Every node starts in the empty class of its speed.
+  node_class_.resize(n);
+  for (NodeId node = 0; node < cluster_.size(); ++node) {
+    const double speed = cluster_.speed_factor(node);
+    const auto it = std::ranges::find_if(empty_classes_, [&](ClassId c) {
+      return classes_[c].speed == speed;
+    });
+    ClassId c = it != empty_classes_.end() ? *it : -1;
+    if (c < 0) {
+      c = new_class(speed);
+      classes_[c].hash = key_seed(speed);
+      empty_classes_.push_back(c);
+    }
+    node_class_[node] = c;
+    ++classes_[c].members;
+  }
+  // A live class other than the empty ones has a member, so at most
+  // n + |empty| are live at once and at most n slots are free.
+  class_index_.assign(std::bit_ceil(2 * (n + empty_classes_.size())), -1);
+  for (const ClassId c : empty_classes_) index_insert(c);
+  free_classes_.reserve(n);
   occupied_.pos.assign(n, -1);
   node_start_stamp_.assign(n, 0);
-  node_demand_.assign(n, 0.0);
   node_touched_serial_.assign(n, 0);
-  node_demand_serial_.assign(n, 0);
   last_settle_ = sim_.now();
 }
 
@@ -107,7 +133,7 @@ void TimeSharedExecutor::start(const Job& job, std::vector<NodeId> nodes) {
   for (const NodeId n : nodes)
     LIBRISK_CHECK(n >= 0 && n < cluster_.size(), "node " << n << " out of range");
   // A fresh stamp per call, so marks left by a call that threw are stale.
-  const std::uint64_t stamp = ++start_stamp_;
+  const std::uint64_t stamp = ++move_serial_;
   for (const NodeId n : nodes) {
     LIBRISK_CHECK(node_start_stamp_[static_cast<std::size_t>(n)] != stamp,
                   "job " << job.id << " assigned duplicate nodes");
@@ -118,20 +144,27 @@ void TimeSharedExecutor::start(const Job& job, std::vector<NodeId> nodes) {
   task.job = &job;
   task.nodes = std::move(nodes);
   task.start_time = sim_.now();
+  task.started = stamp;
   task.est_current = job.scheduler_estimate;
   task.actual_total = job.actual_runtime;
   task.anchor_time = sim_.now();
   const auto [it, inserted] = tasks_.emplace(job.id, std::move(task));
   LIBRISK_CHECK(inserted, "job " << job.id << " already running");
   Task* const started = &it->second;
+  // The gang's nodes in one class move together to that class plus the
+  // job: one new class per distinct old class.
   for (const NodeId n : started->nodes) {
-    std::vector<Task*>& residents = node_tasks_[n];
-    node_jobs_[n].push_back(job.id);
-    residents.push_back(started);
-    ++node_serial_[n];
-    if (residents.size() == 1) occupied_.add(n);
+    const ClassId from = node_class_[n];
+    if (classes_[from].move_serial != stamp) {
+      const ClassId to = class_joined(from, started);
+      classes_[from].move_serial = stamp;
+      classes_[from].move_to = to;
+    }
+    const ClassId to = classes_[from].move_to;
+    const std::vector<Task*>& residents = classes_[to].tasks;
     if (residents.size() == 2) share_node(residents.front());
     if (residents.size() >= 2) share_node(started);
+    move_node(n, from, to);
     start_touched_.push_back(n);
   }
   if (trace_ != nullptr)
@@ -149,8 +182,7 @@ bool TimeSharedExecutor::is_running(JobId id) const noexcept {
 }
 
 const std::vector<JobId>& TimeSharedExecutor::node_jobs(NodeId node) const {
-  LIBRISK_CHECK(node >= 0 && node < cluster_.size(), "node " << node << " out of range");
-  return node_jobs_[node];
+  return classes_[node_class(node)].jobs;
 }
 
 TaskView TimeSharedExecutor::view(JobId id) const {
@@ -169,23 +201,22 @@ TaskView TimeSharedExecutor::view(JobId id) const {
   return v;
 }
 
-void TimeSharedExecutor::rebuild_node_cache(NodeId node, NodeCache& cache,
-                                            NodeStateParts parts) const {
+void TimeSharedExecutor::rebuild_view(const NodeClass& c,
+                                      NodeStateParts parts) const {
   ++stats_.view_rebuilds;
   // Parts the cache still holds validly are folded into the rebuild rather
   // than dropped (a narrower request after a wider one keeps the wider).
-  fill_node_cache(node, cache,
-                  parts | (view_fresh(cache, node) ? cache.view.parts : 0),
-                  /*memo=*/true);
+  fill_view(c.speed, c.tasks, c.cache,
+            parts | (view_fresh(c) ? c.cache.view.parts : 0), /*memo=*/true);
 }
 
-void TimeSharedExecutor::fill_node_cache(NodeId node, NodeCache& cache,
-                                         NodeStateParts parts, bool memo) const {
-  const double speed = cluster_.speed_factor(node);
-  const std::vector<Task*>& residents = node_tasks_[static_cast<std::size_t>(node)];
+void TimeSharedExecutor::fill_view(double speed,
+                                   std::span<const Task* const> residents,
+                                   ViewCache& cache, NodeStateParts parts,
+                                   bool memo) const {
   const std::size_t n = residents.size();
 
-  // An empty node's view is so cheap that it always carries every part.
+  // An empty class's view is so cheap that it always carries every part.
   NodeStateParts want = parts;
   if ((want & kStateRiskAggregates) != 0) want |= kStateSharesCurrent;
   if (n == 0) want = kStateAll;
@@ -244,7 +275,6 @@ void TimeSharedExecutor::fill_node_cache(NodeId node, NodeCache& cache,
 
   cache.epoch = epoch_;
   cache.at = sim_.now();
-  cache.serial = node_serial_[static_cast<std::size_t>(node)];
   // An aggregate-only view exposes no columns (their storage may still hold
   // an earlier read's).
   const auto column = [want_cols](const auto& storage) {
@@ -358,17 +388,148 @@ void TimeSharedExecutor::refresh_boundary(Task& task) {
 }
 
 void TimeSharedExecutor::remove_task_from_nodes(Task& task) {
+  // Every member of a class holding the task is one of its nodes, so each
+  // such class empties into the class without the task: one lookup per
+  // distinct old class.
+  const std::uint64_t move = ++move_serial_;
   for (const NodeId n : task.nodes) {
-    auto& jobs = node_jobs_[n];
-    jobs.erase(std::remove(jobs.begin(), jobs.end(), task.job->id), jobs.end());
-    auto& tasks = node_tasks_[n];
-    if (tasks.size() >= 2) unshare_node(&task);
-    tasks.erase(std::remove(tasks.begin(), tasks.end(), &task), tasks.end());
-    ++node_serial_[n];
-    if (tasks.size() == 1) unshare_node(tasks.front());
-    if (tasks.empty()) occupied_.remove(n);
+    const ClassId from = node_class_[n];
+    if (classes_[from].move_serial != move) {
+      const std::vector<Task*>& residents = classes_[from].tasks;
+      const auto pos = static_cast<std::size_t>(
+          std::ranges::find(residents, &task) - residents.begin());
+      const ClassId to = class_left(from, pos);
+      classes_[from].move_serial = move;
+      classes_[from].move_to = to;
+    }
+    const ClassId to = classes_[from].move_to;
+    if (classes_[from].tasks.size() >= 2) unshare_node(&task);
+    const std::vector<Task*>& left = classes_[to].tasks;
+    if (left.size() == 1) unshare_node(left.front());
+    move_node(n, from, to);
   }
   if (task.heap_pos >= 0) bheap_remove(&task);
+}
+
+TimeSharedExecutor::ClassId TimeSharedExecutor::new_class(double speed) {
+  ClassId id = 0;
+  if (free_classes_.empty()) {
+    id = static_cast<ClassId>(classes_.size());
+    classes_.emplace_back();
+  } else {
+    id = free_classes_.back();
+    free_classes_.pop_back();
+  }
+  NodeClass& c = classes_[id];
+  c.speed = speed;
+  c.jobs.clear();
+  c.tasks.clear();
+  c.members = 0;
+  c.cache.epoch = 0;
+  c.cache.view.parts = 0;
+  c.touch_serial = 0;
+  c.demand_serial = 0;
+  c.rate_visit = 0;
+  c.move_serial = 0;
+  c.move_to = -1;
+  return id;
+}
+
+TimeSharedExecutor::ClassId TimeSharedExecutor::class_joined(ClassId from,
+                                                             Task* task) {
+  const ClassId id = new_class(classes_[from].speed);
+  const NodeClass& base = classes_[from];
+  NodeClass& c = classes_[id];
+  c.jobs.assign(base.jobs.begin(), base.jobs.end());
+  c.jobs.push_back(task->job->id);
+  c.tasks.assign(base.tasks.begin(), base.tasks.end());
+  c.tasks.push_back(task);
+  c.hash = key_step(base.hash, task->job->id);
+  index_insert(id);
+  return id;
+}
+
+TimeSharedExecutor::ClassId TimeSharedExecutor::class_left(ClassId from,
+                                                           std::size_t pos) {
+  const NodeClass& base = classes_[from];
+  const auto gap = static_cast<std::ptrdiff_t>(pos);
+  std::uint64_t hash = key_seed(base.speed);
+  for (std::size_t i = 0; i < base.jobs.size(); ++i)
+    if (i != pos) hash = key_step(hash, base.jobs[i]);
+  const std::size_t mask = class_index_.size() - 1;
+  for (std::size_t slot = index_home(hash);; slot = (slot + 1) & mask) {
+    const ClassId id = class_index_[slot];
+    if (id < 0) break;
+    const NodeClass& c = classes_[id];
+    if (c.hash == hash && c.speed == base.speed &&
+        c.jobs.size() + 1 == base.jobs.size() &&
+        std::equal(base.jobs.begin(), base.jobs.begin() + gap, c.jobs.begin()) &&
+        std::equal(base.jobs.begin() + gap + 1, base.jobs.end(),
+                   c.jobs.begin() + gap))
+      return id;
+  }
+  const ClassId id = new_class(base.speed);
+  const NodeClass& old = classes_[from];  // new_class may move it
+  NodeClass& c = classes_[id];
+  c.jobs.assign(old.jobs.begin(), old.jobs.end());
+  c.jobs.erase(c.jobs.begin() + gap);
+  c.tasks.assign(old.tasks.begin(), old.tasks.end());
+  c.tasks.erase(c.tasks.begin() + gap);
+  c.hash = hash;
+  index_insert(id);
+  return id;
+}
+
+void TimeSharedExecutor::move_node(NodeId node, ClassId from, ClassId to) {
+  NodeClass& src = classes_[from];
+  NodeClass& dst = classes_[to];
+  node_class_[node] = to;
+  ++dst.members;
+  if (src.jobs.empty())
+    occupied_.add(node);
+  else if (dst.jobs.empty())
+    occupied_.remove(node);
+  // The empty classes stay, members or not; any other class is recycled.
+  if (--src.members > 0 || src.jobs.empty()) return;
+  index_erase(from);
+  src.jobs.clear();
+  src.tasks.clear();
+  free_classes_.push_back(from);
+}
+
+std::size_t TimeSharedExecutor::index_home(std::uint64_t hash) const noexcept {
+  // splitmix64's finaliser: FNV's low bits alone cluster on dense ids.
+  hash ^= hash >> 30;
+  hash *= 0xbf58476d1ce4e5b9ULL;
+  hash ^= hash >> 27;
+  hash *= 0x94d049bb133111ebULL;
+  hash ^= hash >> 31;
+  return static_cast<std::size_t>(hash) & (class_index_.size() - 1);
+}
+
+void TimeSharedExecutor::index_insert(ClassId id) {
+  const std::size_t mask = class_index_.size() - 1;
+  std::size_t slot = index_home(classes_[id].hash);
+  while (class_index_[slot] >= 0) slot = (slot + 1) & mask;
+  class_index_[slot] = id;
+}
+
+void TimeSharedExecutor::index_erase(ClassId id) {
+  const std::size_t mask = class_index_.size() - 1;
+  std::size_t hole = index_home(classes_[id].hash);
+  while (class_index_[hole] != id) hole = (hole + 1) & mask;
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless its home lies cyclically in (hole, slot].
+  for (std::size_t slot = (hole + 1) & mask; class_index_[slot] >= 0;
+       slot = (slot + 1) & mask) {
+    const ClassId moved = class_index_[slot];
+    const std::size_t home = index_home(classes_[moved].hash);
+    if (((slot - home) & mask) >= ((slot - hole) & mask)) {
+      class_index_[hole] = moved;
+      hole = slot;
+    }
+  }
+  class_index_[hole] = -1;
 }
 
 void TimeSharedExecutor::touch_node(NodeId node) {
@@ -627,8 +788,14 @@ void TimeSharedExecutor::settle_and_reschedule() {
       // where residents contend — the tasks with a shared node.
       for (Task* const t : contended_) mark_dirty(t);
     }
-    for (const NodeId n : touched_nodes_)
-      for (Task* const t : node_tasks_[n]) mark_dirty(t);
+    // A touched node's residents now are its class's, marked once per
+    // class.
+    for (const NodeId n : touched_nodes_) {
+      NodeClass& c = classes_[node_class_[n]];
+      if (c.touch_serial == serial) continue;
+      c.touch_serial = serial;
+      for (Task* const t : c.tasks) mark_dirty(t);
+    }
   }
   std::sort(dirty_.begin(), dirty_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -637,33 +804,44 @@ void TimeSharedExecutor::settle_and_reschedule() {
 
   for (const auto& [id, t] : dirty_) {
     // The rate is the min over the task's nodes of its allocation times
-    // the node speed. Along a run of equal-speed nodes the numerator is one
-    // capped demand and the speed one factor, and correctly rounded ÷ and ×
-    // are monotone, so the run's min is one division by its largest
-    // divisor (docs/MODEL.md §3.1).
+    // the node speed. A node's allocation is its class's, so each class
+    // the task spans gives one divisor. Along a run of equal-speed nodes
+    // the numerator is one capped demand and the speed one factor, and
+    // correctly rounded ÷ and × are monotone, so the run's min is one
+    // division by its largest divisor (docs/MODEL.md §3.1).
+    const std::uint64_t visit = ++rate_visit_;
     double rate = sim::kTimeInfinity;
     const std::vector<NodeId>& nodes = t->nodes;
     for (std::size_t i = 0; i < nodes.size();) {
-      const double speed = cluster_.speed_factor(nodes[i]);
+      const auto class_of = [this](NodeId n) -> NodeClass& {
+        return classes_[node_class_[n]];
+      };
+      const double speed = class_of(nodes[i]).speed;
       const double here = task_terms(*t, speed, kTermDemand).demand;
       double divisor = 0.0;
-      for (; i < nodes.size() && cluster_.speed_factor(nodes[i]) == speed; ++i) {
-        const auto n = static_cast<std::size_t>(nodes[i]);
-        // A node's demand total, summed on its first visit this settle in
+      bool divided = false;  // false when every class of the run was seen
+      for (; i < nodes.size(); ++i) {
+        NodeClass& c = class_of(nodes[i]);
+        if (c.speed != speed) break;
+        if (c.rate_visit == visit) continue;
+        c.rate_visit = visit;
+        // A class's demand total, summed on its first visit this settle in
         // resident start order (docs/MODEL.md §3.1). Every resident's
         // capped demand comes from its terms memo, computed once per speed:
         // nothing here changes a task's demand, because a reanchor at `now`
         // leaves work_at(now) bitwise unchanged.
-        if (node_demand_serial_[n] != serial) {
-          node_demand_serial_[n] = serial;
+        if (c.demand_serial != serial) {
+          c.demand_serial = serial;
           double sum = 0.0;
-          for (const Task* const r : node_tasks_[n])
+          for (const Task* const r : c.tasks)
             sum += task_terms(*r, speed, kTermDemand).demand;
-          node_demand_[n] = sum;
+          c.demand = sum;
         }
-        divisor = std::max(divisor, allocation_divisor(here, node_demand_[n] - here,
+        divisor = std::max(divisor, allocation_divisor(here, c.demand - here,
                                                        work_conserving));
+        divided = true;
       }
+      if (!divided) continue;
       const double alloc = here > 0.0 ? here / divisor : 0.0;
       rate = std::min(rate, alloc * speed);
     }
@@ -745,32 +923,79 @@ void TimeSharedExecutor::notify_and_reclaim(std::vector<const Job*>& completed,
 }
 
 void TimeSharedExecutor::check_invariants() const {
-  // Node lists and task node sets agree.
+  // Each node's resident list, rebuilt from the tasks' node lists in start
+  // order, is its class's, and the class has the node's speed.
+  std::vector<std::vector<const Task*>> residents(
+      static_cast<std::size_t>(cluster_.size()));
+  std::size_t expected = 0;
+  for (const auto& [id, task] : tasks_) {
+    expected += task.nodes.size();
+    for (const NodeId n : task.nodes) residents[n].push_back(&task);
+  }
+  for (auto& list : residents)
+    std::ranges::sort(list, [](const Task* a, const Task* b) { return a->started < b->started; });
+  std::vector<std::int32_t> members(classes_.size(), 0);
   std::size_t listed = 0;
   for (NodeId n = 0; n < cluster_.size(); ++n) {
-    for (const JobId id : node_jobs_[static_cast<std::size_t>(n)]) {
-      const auto it = tasks_.find(id);
-      LIBRISK_CHECK(it != tasks_.end(), "node list references dead job " << id);
-      const auto& nodes = it->second.nodes;
-      LIBRISK_CHECK(std::find(nodes.begin(), nodes.end(), n) != nodes.end(),
-                    "node list / task nodes disagree for job " << id);
-      ++listed;
+    const ClassId id = node_class_[n];
+    LIBRISK_CHECK(id >= 0 && static_cast<std::size_t>(id) < classes_.size(),
+                  "node " << n << " has no class");
+    const NodeClass& c = classes_[id];
+    ++members[id];
+    LIBRISK_CHECK(c.speed == cluster_.speed_factor(n),
+                  "node " << n << " is in class " << id << " of another speed");
+    const std::vector<const Task*>& list = residents[n];
+    LIBRISK_CHECK(c.jobs.size() == list.size() && c.tasks.size() == list.size(),
+                  "node " << n << " class " << id << " holds the wrong residents");
+    for (std::size_t i = 0; i < list.size(); ++i)
+      LIBRISK_CHECK(c.tasks[i] == list[i] && c.jobs[i] == list[i]->job->id,
+                    "node " << n << " class " << id << " disagrees at slot " << i);
+    listed += list.size();
+  }
+
+  // Member counts, the free list and the interning index agree, and no two
+  // live classes share a key.
+  std::vector<bool> free(classes_.size(), false);
+  for (const ClassId id : free_classes_) {
+    LIBRISK_CHECK(!free[id], "class " << id << " freed twice");
+    free[id] = true;
+  }
+  std::vector<bool> empty(classes_.size(), false);
+  for (const ClassId id : empty_classes_) empty[id] = true;
+  std::set<std::pair<double, std::vector<JobId>>> keys;
+  std::size_t live = 0;
+  for (std::size_t id = 0; id < classes_.size(); ++id) {
+    const NodeClass& c = classes_[id];
+    LIBRISK_CHECK(c.members == members[id], "class " << id << " member count out of date");
+    LIBRISK_CHECK(empty[id] == (c.jobs.empty() && !free[id]),
+                  "class " << id << " empty-class status out of date");
+    if (free[id]) {
+      LIBRISK_CHECK(c.members == 0 && c.jobs.empty(), "free class " << id << " in use");
+      continue;
     }
+    LIBRISK_CHECK(c.members > 0 || empty[id], "class " << id << " live without members");
+    LIBRISK_CHECK(keys.emplace(c.speed, c.jobs).second,
+                  "class " << id << " duplicates another live class's key");
+    std::uint64_t hash = key_seed(c.speed);
+    for (const JobId job : c.jobs) hash = key_step(hash, job);
+    LIBRISK_CHECK(c.hash == hash, "class " << id << " hash out of date");
+    const std::size_t mask = class_index_.size() - 1;
+    std::size_t slot = index_home(hash);
+    while (class_index_[slot] >= 0 && class_index_[slot] != static_cast<ClassId>(id))
+      slot = (slot + 1) & mask;
+    LIBRISK_CHECK(class_index_[slot] == static_cast<ClassId>(id),
+                  "class " << id << " unreachable in the index");
+    ++live;
   }
-  for (NodeId n = 0; n < cluster_.size(); ++n) {
-    const auto& ids = node_jobs_[static_cast<std::size_t>(n)];
-    const auto& ptrs = node_tasks_[static_cast<std::size_t>(n)];
-    LIBRISK_CHECK(ids.size() == ptrs.size(),
-                  "node " << n << " id/task lists out of sync");
-    for (std::size_t i = 0; i < ids.size(); ++i)
-      LIBRISK_CHECK(ptrs[i]->job->id == ids[i],
-                    "node " << n << " task pointer mismatch at slot " << i);
-  }
+  LIBRISK_CHECK(static_cast<std::size_t>(std::ranges::count_if(
+                    class_index_, [](ClassId id) { return id >= 0; })) == live,
+                "class index holds dead classes");
+
   // The occupied index holds exactly the nodes with residents.
   std::size_t occupied = 0;
   for (NodeId n = 0; n < cluster_.size(); ++n) {
     const std::int32_t pos = occupied_.pos[static_cast<std::size_t>(n)];
-    LIBRISK_CHECK(node_tasks_[static_cast<std::size_t>(n)].empty() == (pos < 0),
+    LIBRISK_CHECK(residents[n].empty() == (pos < 0),
                   "node " << n << " occupied index out of date");
     if (pos < 0) continue;
     LIBRISK_CHECK(static_cast<std::size_t>(pos) < occupied_.nodes.size() &&
@@ -784,8 +1009,8 @@ void TimeSharedExecutor::check_invariants() const {
   // The contended set holds exactly the tasks with a shared node.
   std::size_t contended = 0;
   for (const auto& [id, task] : tasks_) {
-    const auto shared = std::ranges::count_if(task.nodes, [this](NodeId n) {
-      return node_tasks_[static_cast<std::size_t>(n)].size() >= 2;
+    const auto shared = std::ranges::count_if(task.nodes, [&](NodeId n) {
+      return residents[n].size() >= 2;
     });
     LIBRISK_CHECK(task.shared_nodes == shared,
                   "job " << id << " shared-node count out of date");
@@ -799,10 +1024,8 @@ void TimeSharedExecutor::check_invariants() const {
   }
   LIBRISK_CHECK(contended == contended_.size(), "contended set out of sync");
 
-  std::size_t expected = 0;
   std::size_t queued = 0;
   for (const auto& [id, task] : tasks_) {
-    expected += task.nodes.size();
     const double work = work_at(task, last_settle_);
     LIBRISK_CHECK(work >= -kWorkEpsilon, "negative work for job " << id);
     LIBRISK_CHECK(work <= task.actual_total + 1.0,
@@ -855,7 +1078,7 @@ void TimeSharedExecutor::check_invariants() const {
     for (const NodeId n : task.nodes) {
       const double speed = cluster_.speed_factor(n);
       double node_demand = 0.0;
-      for (const Task* const r : node_tasks_[static_cast<std::size_t>(n)])
+      for (const Task* const r : residents[n])
         node_demand += std::min(1.0, demand_of(*r, last_settle_) / speed);
       const double demand_here = std::min(1.0, d / speed);
       const double alloc =
@@ -893,15 +1116,18 @@ void TimeSharedExecutor::check_invariants() const {
     }
   }
 
-  // Cache soundness: a view node_state() would serve without rebuilding
-  // must equal a rebuild of the same parts, bit for bit. The rebuild
-  // bypasses the term memos, so they are never compared with themselves.
-  NodeCache rebuilt;
+  // Cache soundness: a class view node_state() would serve without
+  // rebuilding must equal a rebuild of the same parts at each member, from
+  // the member's own speed and rebuilt resident list, bit for bit. The
+  // rebuild bypasses the term memos, so they are never compared with
+  // themselves.
+  ViewCache rebuilt;
   for (NodeId n = 0; n < cluster_.size(); ++n) {
-    const NodeCache& cache = node_cache_[static_cast<std::size_t>(n)];
-    if (!view_fresh(cache, n)) continue;
-    fill_node_cache(n, rebuilt, cache.view.parts, /*memo=*/false);
-    LIBRISK_CHECK(same_view(cache.view, rebuilt.view),
+    const NodeClass& c = classes_[node_class_[n]];
+    if (!view_fresh(c)) continue;
+    fill_view(cluster_.speed_factor(n), residents[n],
+              rebuilt, c.cache.view.parts, /*memo=*/false);
+    LIBRISK_CHECK(same_view(c.cache.view, rebuilt.view),
                   "node " << n << " would serve a stale cached view");
   }
 }

@@ -32,6 +32,11 @@
 // deadline-delay term, capped demand) are computed once per task, not once
 // per node it spans: the task memoises them per (state epoch, instant, node
 // speed), and each node view and the settle fold the memoised values.
+// Nodes in the same state are evaluated once, too: a node class is one
+// (node speed, resident list in start order), interned so that equal keys
+// share one id. The resident list, the admission view and the settle's
+// demand total live on the class, and a gang's nodes move from class to
+// class together (docs/MODEL.md §3.1 "One evaluation per node class").
 #pragma once
 
 #include <cstdint>
@@ -103,10 +108,11 @@ inline constexpr NodeStateParts kStateAll = 31;
 /// contiguous doubles instead of hopping through an array of structs.
 /// The spans are the Columns part: a view read without it is
 /// aggregate-only, its spans empty and its resident count in count().
-/// Spans alias the executor's internal cache: they stay valid until the
-/// executor's state next changes (start/completion/overrun/kill/sync that
-/// advances work) — i.e. for the duration of one admission scan, not across
-/// submissions.
+/// The view and its spans belong to the node's class (every node of one
+/// speed holding one resident list shares them), and they stay valid until
+/// the executor's state next changes (start/completion/overrun/kill/sync
+/// that advances work) — i.e. for the duration of one admission scan, not
+/// across submissions.
 struct NodeStateView {
   std::span<const Job* const> jobs;             ///< in start order
   std::span<const double> remaining_raw;        ///< raw-estimate remaining work (Eq. 1 belief)
@@ -142,9 +148,10 @@ struct KernelStats {
   std::uint64_t tasks_skipped = 0;     ///< resident-settle pairs left untouched
   std::uint64_t reanchors = 0;         ///< work anchors advanced (rate changes)
   std::uint64_t boundary_updates = 0;  ///< boundary-heap insert/move operations
-  /// node_state() calls that had to rebuild the node's cached view (the
-  /// rest were served from the cache). Deterministic, like the above; reads
-  /// by observers (the telemetry per-node sampler) count too.
+  /// node_state() calls that had to rebuild the view of the node's class
+  /// (the rest were served from the cache, including every read of another
+  /// member of a class already built). Deterministic, like the above;
+  /// reads by observers (the telemetry per-node sampler) count too.
   std::uint64_t view_rebuilds = 0;
 
   /// Derived views shared by every stats surface (CLI, diagnose, telemetry)
@@ -168,6 +175,8 @@ struct KernelStats {
 class TimeSharedExecutor {
  public:
   using CompletionHandler = std::function<void(const Job&, sim::SimTime finish)>;
+  /// Identifies a node class (see node_class()).
+  using ClassId = std::int32_t;
   using OverrunHandler = std::function<void(const Job&, int bumps)>;
   using KillHandler = std::function<void(const Job&, sim::SimTime when)>;
 
@@ -212,25 +221,43 @@ class TimeSharedExecutor {
   // ---- observation API (used by admission controls and tests) ----
   [[nodiscard]] std::size_t running_count() const noexcept { return tasks_.size(); }
   [[nodiscard]] bool is_running(JobId id) const noexcept;
-  /// Jobs currently on a node, in start order.
+  /// Jobs currently on a node, in start order (its class's list).
   [[nodiscard]] const std::vector<JobId>& node_jobs(NodeId node) const;
   /// The nodes with at least one resident, in unspecified order. Valid
   /// until the next start, completion or kill.
   [[nodiscard]] std::span<const NodeId> occupied_nodes() const noexcept {
     return occupied_.nodes;
   }
+  /// The node's class: nodes of one speed holding the same resident list
+  /// in the same order share one id, and with it one view. An id stays the
+  /// node's until the next start, completion or kill that touches it; the
+  /// id of a class whose last member leaves is reused.
+  [[nodiscard]] ClassId node_class(NodeId node) const {
+    LIBRISK_CHECK(node >= 0 && node < cluster_.size(), "node " << node << " out of range");
+    return node_class_[node];
+  }
+  /// One more than the largest class id: a size for per-class arrays.
+  [[nodiscard]] std::size_t class_count() const noexcept { return classes_.size(); }
+  /// The number of nodes in a class.
+  [[nodiscard]] int class_size(ClassId id) const { return class_at(id).members; }
+  /// The node speed of a class.
+  [[nodiscard]] double class_speed(ClassId id) const { return class_at(id).speed; }
+  /// The class of idle nodes of each distinct node speed, in order of the
+  /// speed's lowest node id. These classes live as long as the executor.
+  [[nodiscard]] std::span<const ClassId> empty_classes() const noexcept {
+    return empty_classes_;
+  }
   [[nodiscard]] TaskView view(JobId id) const;
   /// Which estimate a node's total demanded share is summed over: the
   /// raw-estimate belief (Libra's Eq. 2) or the overrun-bumped current
   /// estimate (the view's total_share_raw / total_share_current).
   enum class EstimateKind { Raw, Current };
-  /// Resident snapshot + aggregates for one node, served from a per-node
-  /// cache. A populated node's view is valid for one (state epoch, instant)
-  /// pair: any start, completion, overrun, kill or time advance anywhere
-  /// rebuilds it on its next read. An empty node's view does not depend on
-  /// time or on other nodes, so it is keyed on the node's own membership
-  /// serial instead (bumped only when a job starts on or leaves that node)
-  /// and stays cached across submissions while the node stays idle. Each
+  /// Resident snapshot + aggregates for one node: the view of its class,
+  /// so two members of one class return the same object. A populated
+  /// class's view is valid for one (state epoch, instant) pair: any start,
+  /// completion, overrun, kill or time advance anywhere rebuilds it on its
+  /// next read. An empty class's view depends on nothing that changes, so
+  /// it is built once and served to every idle node of its speed. Each
   /// requested part is computed at most once per validity window (parts
   /// accumulate in the cache); KernelStats::view_rebuilds counts the
   /// rebuilds. Call sync() first mid-simulation, like the other views.
@@ -249,11 +276,14 @@ class TimeSharedExecutor {
   [[nodiscard]] const KernelStats& kernel_stats() const noexcept { return stats_; }
 
   /// Validates internal invariants (tests / failure injection); throws
-  /// CheckError on violation. Includes cache soundness: every node view
-  /// node_state() would serve without rebuilding equals a from-scratch
-  /// rebuild bit for bit, and every memoised task term a view would use
-  /// equals a fresh one. Every settled rate must equal, bit for bit, the
-  /// per-node allocate_one reference at the last settle.
+  /// CheckError on violation. Every node's class has the node's speed and
+  /// the resident list rebuilt from the tasks' node lists in start order,
+  /// and no two live classes share a key. Includes cache soundness: every
+  /// class view node_state() would serve without rebuilding equals a
+  /// from-scratch rebuild at each member bit for bit, and every memoised
+  /// task term a view would use equals a fresh one. Every settled rate
+  /// must equal, bit for bit, the per-node allocate_one reference at the
+  /// last settle.
   void check_invariants() const;
 
  private:
@@ -266,11 +296,11 @@ class TimeSharedExecutor {
   static constexpr TermParts kTermDemand = 16;       ///< demand [speed]
   static constexpr TermParts kTermSpeedFree = kTermBase | kTermDelay;
 
-  /// What a node view or the settle derives from one resident at an
+  /// What a class view or the settle derives from one resident at an
   /// instant, memoised on the Task: valid for one (state epoch, instant),
-  /// the [speed] terms for one node speed too. Each node the task spans
+  /// the [speed] terms for one node speed too. Each class the task is in
   /// folds the same values, so every sum keeps its bits. Sound for the
-  /// reason the populated-node view cache is: a settle that changes rates
+  /// reason the populated-class view cache is: a settle that changes rates
   /// bumps the epoch before its rate pass, and reads only the
   /// rate-independent demand there.
   struct TaskTerms {
@@ -291,6 +321,7 @@ class TimeSharedExecutor {
     const Job* job;
     std::vector<NodeId> nodes;
     sim::SimTime start_time;
+    std::uint64_t started = 0;  ///< start() call serial: orders residents
     double est_current;
     double actual_total;
     double rate = 0.0;
@@ -357,6 +388,7 @@ class TimeSharedExecutor {
   /// which `terms` must hold or `parts` include).
   void compute_terms(const Task& task, double speed, TermParts parts,
                      TaskTerms& terms) const;
+  /// Moves every node of `task` from its class to the class without it.
   void remove_task_from_nodes(Task& task);
   void notify_and_reclaim(std::vector<const Job*>& completed,
                           std::vector<Killed>& killed,
@@ -385,12 +417,11 @@ class TimeSharedExecutor {
   void bheap_update(Task* task);
   void bheap_remove(Task* task);
 
-  /// Lazily rebuilt per-node admission view (see node_state()). SoA
+  /// Lazily rebuilt admission view of a class (see node_state()). SoA
   /// columns are grow-only storage the view's spans alias.
-  struct NodeCache {
-    std::uint64_t epoch = 0;   ///< state epoch at build
-    sim::SimTime at = 0.0;     ///< instant of build
-    std::uint64_t serial = 0;  ///< node membership serial at build; 0 = never built
+  struct ViewCache {
+    std::uint64_t epoch = 0;  ///< state epoch at build; 0 = never built
+    sim::SimTime at = 0.0;    ///< instant of build
     std::vector<const Job*> jobs;
     std::vector<double> remaining_raw;
     std::vector<double> remaining_current;
@@ -400,21 +431,64 @@ class TimeSharedExecutor {
     std::vector<double> share_current;
     NodeStateView view;
   };
-  /// Whether `cache` still describes `node`, for the parts it holds.
-  [[nodiscard]] bool view_fresh(const NodeCache& cache, NodeId node) const noexcept {
-    return cache.view.empty()
-               ? cache.serial == node_serial_[static_cast<std::size_t>(node)]
-               : cache.epoch == epoch_ && cache.at == sim_.now();
+
+  /// A node class: one node speed and one resident list in start order
+  /// (the key), shared by every node in that state. Its nodes hold the
+  /// same jobs and run at the same speed, so one view and one demand total
+  /// serve them all. The slot of a class whose last member leaves goes on
+  /// a free list for reuse; every vector in it only grows.
+  struct NodeClass {
+    double speed = 0.0;
+    std::vector<JobId> jobs;   ///< resident ids in start order
+    std::vector<Task*> tasks;  ///< parallel to `jobs`
+    std::uint64_t hash = 0;    ///< of the key, for the interning index
+    std::int32_t members = 0;  ///< nodes in the class
+    mutable ViewCache cache;
+    /// Settle scratch, stamped with the settle serial: the dirty-set pass
+    /// marks a class's tasks once, and its demand total (resident start
+    /// order) is summed on its first read.
+    std::uint64_t touch_serial = 0;
+    std::uint64_t demand_serial = 0;
+    double demand = 0.0;
+    std::uint64_t rate_visit = 0;  ///< rate-pass visit that took its divisor
+    /// Where this class's nodes go in the move stamped `move_serial`.
+    std::uint64_t move_serial = 0;
+    ClassId move_to = -1;
+  };
+  [[nodiscard]] const NodeClass& class_at(ClassId id) const {
+    LIBRISK_CHECK(id >= 0 && static_cast<std::size_t>(id) < classes_.size(),
+                  "class " << id << " out of range");
+    return classes_[id];
   }
-  /// Counts a rebuild and refills `cache` with `parts` plus whatever parts
-  /// it already holds validly.
-  void rebuild_node_cache(NodeId node, NodeCache& cache,
-                          NodeStateParts parts) const;
-  /// Fills `cache` with exactly `parts` (all parts when the node is
-  /// empty), from the residents' memoised terms, or from scratch when
-  /// `memo` is false.
-  void fill_node_cache(NodeId node, NodeCache& cache, NodeStateParts parts,
-                       bool memo) const;
+  /// Whether `c`'s cached view still describes it, for the parts it holds.
+  [[nodiscard]] bool view_fresh(const NodeClass& c) const noexcept {
+    return c.jobs.empty() ? c.cache.epoch != 0
+                          : c.cache.epoch == epoch_ && c.cache.at == sim_.now();
+  }
+  /// Counts a rebuild and refills `c`'s view with `parts` plus whatever
+  /// parts it already holds validly.
+  void rebuild_view(const NodeClass& c, NodeStateParts parts) const;
+  /// Fills `cache` with exactly `parts` (all parts when there is no
+  /// resident) for `residents` on a node of speed `speed`, from their
+  /// memoised terms, or from scratch when `memo` is false.
+  void fill_view(double speed, std::span<const Task* const> residents,
+                 ViewCache& cache, NodeStateParts parts, bool memo) const;
+
+  // Class interning: an open-addressing index from key to live class.
+  /// A free slot (or a new one) made ready for a class of `speed`.
+  ClassId new_class(double speed);
+  /// The class of `from`'s key with `task` appended. Always a new class:
+  /// no live class holds a job that is only now starting.
+  ClassId class_joined(ClassId from, Task* task);
+  /// The class of `from`'s key without its resident at `pos`: the live
+  /// class with that key, or a new one.
+  ClassId class_left(ClassId from, std::size_t pos);
+  /// Moves `node` between classes, maintaining member counts, the
+  /// occupied set and the free list.
+  void move_node(NodeId node, ClassId from, ClassId to);
+  [[nodiscard]] std::size_t index_home(std::uint64_t hash) const noexcept;
+  void index_insert(ClassId id);
+  void index_erase(ClassId id);
 
   sim::Simulator& sim_;
   const Cluster& cluster_;
@@ -424,15 +498,18 @@ class TimeSharedExecutor {
   KillHandler on_kill_;
 
   std::map<JobId, Task> tasks_;  // ordered => deterministic iteration
-  std::vector<std::vector<JobId>> node_jobs_;
-  /// Parallel to node_jobs_: direct Task pointers (std::map nodes are
-  /// stable), so per-node scans skip the map lookups.
-  std::vector<std::vector<Task*>> node_tasks_;
   std::uint64_t epoch_ = 1;
-  /// Per-node membership serial: bumped whenever a task joins or leaves
-  /// the node. Starts at 1 so a never-built cache (serial 0) is stale.
-  std::vector<std::uint64_t> node_serial_;
-  mutable std::vector<NodeCache> node_cache_;
+  /// Class slots, live or free; Task pointers in them are stable because
+  /// std::map nodes are.
+  std::vector<NodeClass> classes_;
+  std::vector<ClassId> node_class_;     ///< node -> its class
+  std::vector<ClassId> empty_classes_;  ///< one per distinct speed
+  std::vector<ClassId> free_classes_;   ///< recyclable slots
+  /// Open-addressing (linear probing) index of the live classes by key;
+  /// -1 = empty slot. Sized at construction to twice the most classes that
+  /// can be live at once (one per node plus the empty ones), so it never
+  /// grows.
+  std::vector<ClassId> class_index_;
   sim::SimTime last_settle_ = 0.0;
   sim::EventId pending_boundary_{};
   sim::SimTime pending_boundary_time_ = 0.0;
@@ -455,12 +532,13 @@ class TimeSharedExecutor {
   /// start()'s duplicate-node check: a node already seen in the current
   /// call carries the call's stamp.
   std::vector<std::uint64_t> node_start_stamp_;
-  std::uint64_t start_stamp_ = 0;
+  /// Stamps each start() and removal: orders residents, and memoises the
+  /// class a class's nodes move to within one call.
+  std::uint64_t move_serial_ = 0;
+  std::uint64_t rate_visit_ = 0;  ///< one stamp per rate-pass task visit
   /// Per-settle workspaces (member-owned so steady-state settles allocate
   /// nothing; serial stamps replace clearing).
-  std::vector<double> node_demand_;
   std::vector<std::uint64_t> node_touched_serial_;
-  std::vector<std::uint64_t> node_demand_serial_;
   std::vector<NodeId> touched_nodes_;
   std::vector<NodeId> start_touched_;   ///< nodes gaining a task since last settle
   std::vector<Task*> due_;
@@ -472,15 +550,13 @@ class TimeSharedExecutor {
   std::vector<Overrun> overrun_buf_;
 };
 
-// Inline: every admission scan runs this check for every node it assesses,
-// and most reads hit the cache.
+// Inline: every admission scan runs this check for every class it
+// assesses, and most reads hit the cache.
 inline const NodeStateView& TimeSharedExecutor::node_state(
     NodeId node, NodeStateParts parts) const {
-  LIBRISK_CHECK(node >= 0 && node < cluster_.size(), "node " << node << " out of range");
-  NodeCache& cache = node_cache_[static_cast<std::size_t>(node)];
-  if ((parts & ~cache.view.parts) != 0 || !view_fresh(cache, node))
-    rebuild_node_cache(node, cache, parts);
-  return cache.view;
+  const NodeClass& c = classes_[node_class(node)];
+  if ((parts & ~c.cache.view.parts) != 0 || !view_fresh(c)) rebuild_view(c, parts);
+  return c.cache.view;
 }
 
 }  // namespace librisk::cluster

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 
 #include "support/check.hpp"
 #include "support/log.hpp"
@@ -58,17 +57,6 @@ LibraScheduler::LibraScheduler(sim::Simulator& simulator,
         config_.estimate_kind == cluster::TimeSharedExecutor::EstimateKind::Raw
             ? cluster::kStateSharesRaw
             : cluster::kStateSharesCurrent;
-  }
-  const cluster::Cluster& machine = executor_.cluster();
-  std::map<double, std::uint32_t> class_of_speed;
-  node_class_.resize(static_cast<std::size_t>(machine.size()));
-  for (cluster::NodeId n = 0; n < machine.size(); ++n) {
-    const double speed = machine.speed_factor(n);
-    const auto [it, added] = class_of_speed.try_emplace(
-        speed, static_cast<std::uint32_t>(speed_classes_.size()));
-    if (added) speed_classes_.push_back(SpeedClass{speed, {}});
-    speed_classes_[it->second].nodes.push_back(n);
-    node_class_[static_cast<std::size_t>(n)] = it->second;
   }
   executor_.set_completion_handler(
       [this](const Job& job, sim::SimTime finish) {
@@ -313,23 +301,20 @@ double LibraScheduler::reject_job_margin(const Job& job, int suitable_count) {
   // fail_deficit_, which is dead after this call.
   const int k = job.num_procs - suitable_count;
   fail_deficit_.clear();
-  const auto note = [&](double metric, int copies) {
+  // A class contributes its deficit once per member, but copies beyond the
+  // k-th cannot move the k-th smallest. A bound-skipped class's shortfall
+  // is unquantifiable (+inf).
+  for (const cluster::TimeSharedExecutor::ClassId c : scanned_) {
+    const ClassVerdict& v = class_verdict_[c];
+    const double metric = share              ? v.fit
+                          : v.bound_skipped ? std::numeric_limits<double>::infinity()
+                                            : v.sigma;
     const double d = metric - floor;
     if (d > tol)
       fail_deficit_.insert(fail_deficit_.end(),
-                           static_cast<std::size_t>(copies), d);
-  };
-  if (share) {
-    // Eq. 2 kept per-node metrics for the occupied nodes only. An idle
-    // class contributes its deficit once per idle node, but copies beyond
-    // the k-th cannot move the k-th smallest.
-    for (const cluster::NodeId n : executor_.occupied_nodes())
-      note(scan_metric_[static_cast<std::size_t>(n)], 1);
-    for (const SpeedClass& c : speed_classes_)
-      note(c.idle_fit,
-           std::min(static_cast<int>(c.nodes.size()) - c.occupied, k));
-  } else {
-    for (const double metric : scan_metric_) note(metric, 1);
+                           static_cast<std::size_t>(
+                               std::min(executor_.class_size(c), k)),
+                           d);
   }
   double deficit = std::numeric_limits<double>::infinity();
   if (k >= 1 && static_cast<int>(fail_deficit_.size()) >= k) {
@@ -370,7 +355,9 @@ void LibraScheduler::submit(const Job& job) {
   executor_.sync();
 
   suitable_.clear();
-  scan_metric_.resize(static_cast<std::size_t>(cluster_size));
+  scanned_.clear();
+  if (class_verdict_.size() < executor_.class_count())
+    class_verdict_.resize(executor_.class_count());
   if (suitable_.capacity() < static_cast<std::size_t>(cluster_size))
     suitable_.reserve(cluster_size);
   const bool tracing = trace_ != nullptr && trace_->enabled();
@@ -439,42 +426,60 @@ int LibraScheduler::scan_total_share(const Job& job) {
   const bool raw =
       config_.estimate_kind == cluster::TimeSharedExecutor::EstimateKind::Raw;
   const double limit = config_.capacity + config_.tolerance;
+  const std::uint64_t submission = stats_.submissions;
   // new_job_share depends on the node only through its speed: one division
-  // per class serves every node of it, occupied or idle.
-  for (SpeedClass& c : speed_classes_) {
-    c.share = cluster::required_share(job.scheduler_estimate, job.deadline,
-                                      executor_.config().deadline_clamp,
-                                      c.speed);
-    c.idle_fit = 0.0 + c.share;  // an idle view's total share is 0.0
-    c.occupied = 0;
-  }
+  // per run of classes of one speed serves all their nodes.
+  double share_speed = 0.0;
+  double share = 0.0;
+  const auto share_at = [&](double speed) {
+    if (speed != share_speed) {
+      share_speed = speed;
+      share = cluster::required_share(job.scheduler_estimate, job.deadline,
+                                      executor_.config().deadline_clamp, speed);
+    }
+    return share;
+  };
   int suitable = 0;
   for (const cluster::NodeId n : executor_.occupied_nodes()) {
-    SpeedClass& c = speed_classes_[node_class_[static_cast<std::size_t>(n)]];
-    ++c.occupied;
-    const cluster::NodeStateView& state = executor_.node_state(n, scan_parts_);
-    const double fit =
-        (raw ? state.total_share_raw : state.total_share_current) + c.share;
-    scan_metric_[static_cast<std::size_t>(n)] = fit;
-    if (fit <= limit) {
-      suitable_.push_back(Candidate{n, fit, -1.0});
+    const cluster::TimeSharedExecutor::ClassId c = executor_.node_class(n);
+    ClassVerdict& v = class_verdict_[c];
+    if (v.submission != submission) {
+      const cluster::NodeStateView& state = executor_.node_state(n, scan_parts_);
+      v.submission = submission;
+      v.fit = (raw ? state.total_share_raw : state.total_share_current) +
+              share_at(executor_.class_speed(c));
+      v.suitable = v.fit <= limit;
+      v.offer = 0;
+      scanned_.push_back(c);
+    }
+    if (v.suitable) {
+      suitable_.push_back(Candidate{n, v.fit, -1.0});
       ++suitable;
     }
   }
-  // Every idle node of a suitable class is suitable, but only the class's
-  // num_procs lowest-id idle nodes can be chosen: any other one has
+  // Every idle node of a suitable speed is suitable, but only the empty
+  // class's num_procs lowest-id members can be chosen: any other one has
   // num_procs rivals with the same fit and lower ids, which precede it in
   // the (fit, id) order and in node order alike.
-  for (const SpeedClass& c : speed_classes_) {
-    if (!(c.idle_fit <= limit)) continue;
-    const int idle = static_cast<int>(c.nodes.size()) - c.occupied;
-    suitable += idle;
-    int wanted = std::min(idle, job.num_procs);
-    for (auto it = c.nodes.begin(); wanted > 0; ++it) {
-      if (!executor_.node_jobs(*it).empty()) continue;
-      suitable_.push_back(Candidate{*it, c.idle_fit, -1.0});
-      --wanted;
-    }
+  int offers = 0;
+  for (const cluster::TimeSharedExecutor::ClassId c : executor_.empty_classes()) {
+    ClassVerdict& v = class_verdict_[c];
+    const int idle = executor_.class_size(c);
+    v.submission = submission;
+    v.fit = 0.0 + share_at(executor_.class_speed(c));  // an empty view's total is 0.0
+    v.suitable = v.fit <= limit;
+    v.offer = v.suitable ? std::min(idle, job.num_procs) : 0;
+    if (idle > 0) scanned_.push_back(c);
+    if (v.suitable) suitable += idle;
+    offers += v.offer;
+  }
+  for (cluster::NodeId n = 0; offers > 0; ++n) {
+    ClassVerdict& v =
+        class_verdict_[executor_.node_class(n)];
+    if (v.offer == 0) continue;
+    suitable_.push_back(Candidate{n, v.fit, -1.0});
+    --v.offer;
+    --offers;
   }
   return suitable;
 }
@@ -499,9 +504,7 @@ void LibraScheduler::cover_total_share(const Job& job, sim::SimTime now,
   const double limit = config_.capacity + config_.tolerance;
   for (cluster::NodeId n = 0; n < covered; ++n) {
     const double fit =
-        executor_.node_jobs(n).empty()
-            ? speed_classes_[node_class_[static_cast<std::size_t>(n)]].idle_fit
-            : scan_metric_[static_cast<std::size_t>(n)];
+        class_verdict_[executor_.node_class(n)].fit;
     trace_->node_evaluated(
         now, job.id, n,
         fit <= limit ? trace::RejectionReason::None : scan_reason(),
@@ -534,60 +537,69 @@ void LibraScheduler::scan_zero_risk_batched(const Job& job, sim::SimTime now,
   // conservative).
   options.allow_bound_skip = !tracing;
 
+  const std::uint64_t submission = stats_.submissions;
   std::size_t chunk = kBatchChunkMin;
   int next = 0;
   while (next < cluster_size) {
     const int end =
         std::min(next + static_cast<int>(chunk), cluster_size);
+    // Queue each class the chunk meets for the first time this submission:
+    // its members share the one verdict.
     batch_inputs_.clear();
-    batch_meta_.clear();
+    const std::size_t first = scanned_.size();
     for (int n = next; n < end; ++n) {
+      const cluster::TimeSharedExecutor::ClassId c = executor_.node_class(n);
+      ClassVerdict& v = class_verdict_[c];
+      if (v.submission == submission) continue;
+      v.submission = submission;
       const cluster::NodeStateView& state =
           executor_.node_state(n, scan_parts_);
+      v.empty = state.empty();
       NodeRiskInput input;
       input.remaining_work =
           raw ? state.remaining_raw : state.remaining_current;
       input.remaining_deadline = state.remaining_deadline;
       input.rate = state.rate;
-      input.speed_factor = executor_.cluster().speed_factor(n);
+      input.speed_factor = executor_.class_speed(c);
       input.available_capacity = state.available_capacity;
       if (use_aggregates_) input.aggregates = &state.risk_current;
       batch_inputs_.push_back(input);
-      batch_meta_.push_back(BatchEntry{n, state.empty()});
+      scanned_.push_back(c);
     }
     batch_verdicts_.resize(batch_inputs_.size());
     assess_nodes(batch_inputs_, job.scheduler_estimate, job.deadline,
                  config_.risk, workspace_, batch_verdicts_, options);
+    for (std::size_t i = 0; i < batch_verdicts_.size(); ++i) {
+      const NodeRiskVerdict& verdict = batch_verdicts_[i];
+      ClassVerdict& v = class_verdict_[scanned_[first + i]];
+      v.suitable = verdict.suitable;
+      v.bound_skipped = verdict.bound_skipped;
+      v.fit = verdict.total_share;
+      v.sigma = verdict.sigma;
+    }
 
     // Consume verdicts in node order; counters and trace events fire per
     // consumed node only, so a FirstFit stop mid-batch leaves the rest of
     // the batch uncounted — exactly as if the scalar scan never got there.
-    for (std::size_t i = 0; i < batch_meta_.size(); ++i) {
-      const NodeRiskVerdict& verdict = batch_verdicts_[i];
-      const int n = batch_meta_[i].node;
+    for (int n = next; n < end; ++n) {
+      const ClassVerdict& v =
+          class_verdict_[executor_.node_class(n)];
       ++stats_.nodes_scanned;
-      if (batch_meta_[i].empty && empty_fast)
+      if (v.empty && empty_fast)
         ++stats_.empty_node_skips;
-      else if (verdict.bound_skipped)
+      else if (v.bound_skipped)
         ++stats_.nodes_batch_skipped;
       else {
         ++stats_.assessments;
         ++stats_.batched_assessments;
       }
-      // The reject-path deficit rebuild reads this: the sigma the test ran
-      // on, or +inf for a bound-skipped node (shortfall unquantifiable —
-      // near-miss counters then undercount, never over).
-      scan_metric_[static_cast<std::size_t>(n)] =
-          verdict.bound_skipped ? std::numeric_limits<double>::infinity()
-                                : verdict.sigma;
       if (tracing)
         trace_->node_evaluated(
             now, job.id, n,
-            verdict.suitable ? trace::RejectionReason::None : scan_reason(),
-            verdict.sigma, verdict.total_share,
-            config_.risk.sigma_threshold - verdict.sigma);
-      if (verdict.suitable) {
-        suitable_.push_back(Candidate{n, verdict.total_share, verdict.sigma});
+            v.suitable ? trace::RejectionReason::None : scan_reason(),
+            v.sigma, v.fit, config_.risk.sigma_threshold - v.sigma);
+      if (v.suitable) {
+        suitable_.push_back(Candidate{n, v.fit, v.sigma});
         if (can_stop_early &&
             static_cast<int>(suitable_.size()) == job.num_procs) {
           if (n + 1 < cluster_size) ++stats_.early_exits;

@@ -108,11 +108,11 @@ class LibraScheduler final : public Scheduler {
                : config_.risk.sigma_threshold - sigma;
   }
   /// Shortfall-rejection bookkeeping: rebuilds the failing-node deficits
-  /// from scan_metric_ (and, for Eq. 2, the idle speed classes), takes the
-  /// k-th smallest (k = num_procs - suitable_count — the smallest
-  /// improvement that would have admitted), feeds the near-miss counters,
-  /// and returns the job margin (-deficit; 0.0 when unquantifiable). Reject
-  /// path only, so the scan loops stay store-only.
+  /// from the scanned classes' verdicts, takes the k-th smallest (k =
+  /// num_procs - suitable_count — the smallest improvement that would have
+  /// admitted), feeds the near-miss counters, and returns the job margin
+  /// (-deficit; 0.0 when unquantifiable). Reject path only, so the scan
+  /// loops stay store-only.
   [[nodiscard]] double reject_job_margin(const Job& job, int suitable_count);
   /// Moves the `count` best candidates of suitable_ to its front in
   /// (fit, node id) order — fullest first for BestFit, emptiest first for
@@ -125,14 +125,15 @@ class LibraScheduler final : public Scheduler {
   /// compiled the Eq. 2 scan ~10% slower (bench/e2e libra-1024, 10 pairs).
   void submit(const Job& job);
   /// ZeroRisk candidate scan through core::assess_nodes over adaptive node
-  /// chunks; fills suitable_ and maintains the per-consumed-node counters
-  /// and trace events in node order.
+  /// chunks, one assessment per node class; fills suitable_ and maintains
+  /// the per-consumed-node counters and trace events in node order.
   void scan_zero_risk_batched(const Job& job, sim::SimTime now, bool tracing,
                               bool can_stop_early);
-  /// Eq. 2 candidate scan: reads the occupied nodes' views and answers the
-  /// idle nodes per speed class (see SpeedClass). Fills suitable_ with
-  /// every suitable occupied node and each suitable class's num_procs
-  /// lowest-id idle nodes; returns the cluster-wide suitable count.
+  /// Eq. 2 candidate scan: one fit per node class, read from the class
+  /// view on its first occupied member, and one per speed for the idle
+  /// nodes (each speed's empty class). Fills suitable_ with every suitable
+  /// occupied node and each suitable empty class's num_procs lowest-id
+  /// members; returns the cluster-wide suitable count.
   [[nodiscard]] int scan_total_share(const Job& job);
   /// After an Eq. 2 scan (and, on accept, select_prefix): counts the nodes
   /// the decision covers in node order — all of them, except that a
@@ -151,13 +152,23 @@ class LibraScheduler final : public Scheduler {
   /// submission; mutable because node_suitable() is a const query).
   mutable RiskWorkspace workspace_;
   std::vector<Candidate> suitable_;
-  /// Per-node decisive metric of the current scan, indexed by node: fit
-  /// (TotalShare, occupied nodes only; an idle node's is its class's
-  /// idle_fit) or sigma (ZeroRisk; +inf for a bound-skipped node, whose
-  /// shortfall is unquantifiable). One flat store per scanned node keeps
-  /// the hot loop branch-free; a rejection — which always covers the whole
-  /// cluster — rebuilds the failing-node deficits from it after the fact.
-  std::vector<double> scan_metric_;
+  /// One node class's verdict in the current submission, shared by its
+  /// members: equal classes fold equal bits (cluster::TimeSharedExecutor
+  /// "node classes"), so each is assessed once.
+  struct ClassVerdict {
+    std::uint64_t submission = 0;  ///< stats_.submissions when filled
+    bool suitable = false;
+    bool empty = false;          ///< no resident (ZeroRisk's empty-node skip)
+    bool bound_skipped = false;  ///< σ-spread bound: sigma not computed
+    double fit = 0.0;    ///< total share after acceptance (the fit key)
+    double sigma = -1.0; ///< sigma the test saw (-1 for TotalShare)
+    int offer = 0;       ///< Eq. 2 empty class: members still to offer
+  };
+  /// Indexed by class id (grow-only). A rejection — which always covers
+  /// the whole cluster — rebuilds the failing-node deficits from the
+  /// verdicts of scanned_, the distinct classes the scan met.
+  std::vector<ClassVerdict> class_verdict_;
+  std::vector<cluster::TimeSharedExecutor::ClassId> scanned_;
   /// Reject-path scratch for those rebuilt deficits (reused allocation).
   std::vector<double> fail_deficit_;
   /// Decided once at construction: whether the executor's cached
@@ -166,28 +177,10 @@ class LibraScheduler final : public Scheduler {
   /// minimal NodeStateParts the admission scan needs from node_state().
   bool use_aggregates_ = false;
   cluster::NodeStateParts scan_parts_ = cluster::kStateAll;
-  /// Grow-only buffers for the batched ZeroRisk scan.
-  struct BatchEntry {
-    cluster::NodeId node;
-    bool empty;
-  };
+  /// Grow-only buffers for the batched ZeroRisk scan; batch entry i is
+  /// the class at scanned_[scanned_.size() - batch size + i].
   std::vector<NodeRiskInput> batch_inputs_;
   std::vector<NodeRiskVerdict> batch_verdicts_;
-  std::vector<BatchEntry> batch_meta_;
-  /// The nodes of one speed (exact speed_factor equality), grouped at
-  /// construction. An idle node's Eq. 2 total is exactly 0.0, so every idle
-  /// node of a class has the same fit for a job and the Eq. 2 scan decides
-  /// them with one division per class instead of one view read per node.
-  struct SpeedClass {
-    double speed = 1.0;
-    std::vector<cluster::NodeId> nodes;  ///< ascending ids
-    // Per-submission scan state:
-    double share = 0.0;  ///< the job's required share at this speed
-    double idle_fit = 0.0;  ///< an idle node's Eq. 2 total: 0.0 + share
-    int occupied = 0;  ///< nodes of this class with residents
-  };
-  std::vector<SpeedClass> speed_classes_;
-  std::vector<std::uint32_t> node_class_;  ///< node -> speed_classes_ slot
 
   /// Telemetry-registered sinks (null when telemetry is not attached; the
   /// registry owns the histograms).

@@ -612,6 +612,141 @@ TEST(TimeShared, RandomizedViewCacheMatchesRebuild) {
     }
 }
 
+// How often a randomized class sequence saw classes form, split and merge.
+struct ClassCoverage {
+  int formed = 0;  ///< ops after which a class of >= 2 residents had >= 2 members
+  int split = 0;   ///< ops that put two nodes of one class into different ones
+  int merged = 0;  ///< ops that put occupied nodes of two classes into one
+};
+
+// Seeded random sequences on a 16-node cluster of 3 interleaved speeds in
+// which some gangs start on nodes of a running gang, so that many nodes
+// share a resident list. After every operation (and inside every handler)
+// check_invariants() rebuilds each node's resident list from the tasks and
+// compares it, the node's speed and every fresh class view with the node's
+// class. Members of one class must be served the same view object.
+void run_random_class_sequence(ShareModelConfig config, std::uint64_t seed,
+                               ClassCoverage& coverage) {
+  constexpr int kNodes = 16;
+  std::vector<NodeSpec> specs;
+  for (int i = 0; i < kNodes; ++i)
+    specs.push_back({i, 84.0 * static_cast<double>(1 + i % 3)});
+  const Cluster cluster(std::move(specs), 168.0);
+  sim::Simulator simulator;
+  TimeSharedExecutor executor(simulator, cluster, config);
+  rng::Stream stream(seed);
+  auto read_and_check = [&] {
+    for (int k = 0; k < 6; ++k) {
+      const auto node = static_cast<NodeId>(stream.uniform_int(0, kNodes - 1));
+      const auto parts = static_cast<NodeStateParts>(stream.uniform_int(0, kStateAll));
+      (void)executor.node_state(node, parts);
+    }
+    executor.check_invariants();
+  };
+  executor.set_completion_handler([&](const Job&, sim::SimTime) { read_and_check(); });
+  executor.set_kill_handler([&](const Job&, sim::SimTime) { read_and_check(); });
+  executor.set_overrun_handler([&](const Job&, int) { read_and_check(); });
+
+  std::deque<Job> jobs;  // the executor keeps pointers: stable addresses
+  std::vector<NodeId> all(kNodes);
+  for (int i = 0; i < kNodes; ++i) all[static_cast<std::size_t>(i)] = i;
+  std::vector<TimeSharedExecutor::ClassId> before(kNodes);
+  for (int op = 0; op < 300; ++op) {
+    for (NodeId n = 0; n < kNodes; ++n)
+      before[static_cast<std::size_t>(n)] = executor.node_class(n);
+    const double draw = stream.uniform(0.0, 1.0);
+    if (draw < 0.55) {
+      std::vector<NodeId> nodes;
+      std::vector<const Job*> gangs;
+      for (const Job& j : jobs)
+        if (j.num_procs >= 2 && executor.is_running(j.id)) gangs.push_back(&j);
+      if (draw < 0.25 && !gangs.empty()) {
+        // Join some nodes of a running gang.
+        nodes = executor.view(gangs[static_cast<std::size_t>(stream.uniform_int(
+                                        0, static_cast<std::int64_t>(gangs.size()) - 1))]
+                                  ->id)
+                    .nodes;
+        nodes.resize(static_cast<std::size_t>(
+            stream.uniform_int(1, static_cast<std::int64_t>(nodes.size()))));
+      } else {
+        rng::shuffle(all, stream);
+        nodes.assign(all.begin(), all.begin() + stream.uniform_int(1, 6));
+      }
+      const double runtime = stream.uniform(5.0, 200.0);
+      const double estimate =
+          stream.bernoulli(1.0 / 3.0) ? runtime * stream.uniform(0.3, 0.9) : runtime;
+      jobs.push_back(JobBuilder(op + 1)
+                         .submit(simulator.now())
+                         .estimate(std::max(estimate, 1.0))
+                         .set_runtime(runtime)
+                         .deadline(runtime * stream.uniform(0.8, 4.0))
+                         .procs(static_cast<int>(nodes.size()))
+                         .build());
+      executor.start(jobs.back(), std::move(nodes));
+    } else {
+      const double t = simulator.now() + stream.uniform(0.0, 40.0);
+      simulator.at(t, sim::EventPriority::Control, [] {});
+      simulator.run_until(t);
+      if (stream.bernoulli(0.8)) executor.sync();
+    }
+    read_and_check();
+
+    bool formed = false;
+    bool split = false;
+    bool merged = false;
+    for (NodeId a = 0; a < kNodes; ++a) {
+      const TimeSharedExecutor::ClassId ca = executor.node_class(a);
+      for (NodeId b = a + 1; b < kNodes; ++b) {
+        const TimeSharedExecutor::ClassId cb = executor.node_class(b);
+        const bool was_same = before[static_cast<std::size_t>(a)] ==
+                              before[static_cast<std::size_t>(b)];
+        const bool occupied = !executor.node_jobs(a).empty();
+        if (ca == cb) {
+          ASSERT_EQ(&executor.node_state(a, 0), &executor.node_state(b, 0));
+          formed = formed || executor.node_jobs(a).size() >= 2;
+          merged = merged || (occupied && !was_same);
+        } else {
+          split = split || was_same;
+        }
+      }
+      if (ca >= 0) {
+        EXPECT_EQ(executor.class_speed(ca), cluster.speed_factor(a));
+      }
+    }
+    coverage.formed += formed ? 1 : 0;
+    coverage.split += split ? 1 : 0;
+    coverage.merged += merged ? 1 : 0;
+  }
+  simulator.run();
+  read_and_check();
+  // Drained: every node is back in the empty class of its speed.
+  int idle = 0;
+  for (const TimeSharedExecutor::ClassId c : executor.empty_classes())
+    idle += executor.class_size(c);
+  EXPECT_EQ(idle, kNodes);
+}
+
+TEST(TimeShared, RandomizedNodeClassesMatchRebuild) {
+  ShareModelConfig kill;
+  kill.kill_at_estimate = true;
+  ShareModelConfig equal;
+  equal.mode = ExecutionMode::EqualShare;
+  const std::pair<const char*, ShareModelConfig> configs[] = {
+      {"overrun", ShareModelConfig{}},
+      {"kill", kill},
+      {"strict", strict_pacing()},
+      {"equal-share", equal}};
+  ClassCoverage coverage;
+  for (const auto& [name, config] : configs)
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(::testing::Message() << name << " seed " << seed);
+      run_random_class_sequence(config, seed, coverage);
+    }
+  EXPECT_GT(coverage.formed, 0);
+  EXPECT_GT(coverage.split, 0);
+  EXPECT_GT(coverage.merged, 0);
+}
+
 TEST(TimeShared, HeterogeneousNodeSpeedsScaleRates) {
   sim::Simulator simulator;
   const Cluster cluster({{0, 2.0}}, 1.0);  // node twice the reference speed
