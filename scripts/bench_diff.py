@@ -8,8 +8,9 @@ Usage:
                   --fresh smoke_trace.txt [--record]
 
 Matches benchmarks by name. A benchmark regresses when its fresh time
-exceeds the baseline by more than --threshold percent; any regression makes
-the script exit 1 with a per-benchmark report. Benchmarks present on only
+exceeds the baseline by more than --threshold percent, or exceeds a zero
+baseline at all; any regression makes the script exit 1 with a
+per-benchmark report. Benchmarks present on only
 one side are reported but never fail the run (renames and new benchmarks
 are routine; deleting a baseline entry is a review decision, not a CI one).
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -183,7 +185,13 @@ def main() -> int:
             continue
         compared += 1
         base, now = baseline[name], fresh[name]
-        delta_pct = 100.0 * (now - base) / base if base > 0 else 0.0
+        if base > 0:
+            delta_pct = 100.0 * (now - base) / base
+        else:
+            # A zero baseline has no scale to take a percentage of: any
+            # larger fresh value (an allocation where there were none) is an
+            # unbounded regression.
+            delta_pct = math.inf if now > base else 0.0
         flag = " REGRESSION" if delta_pct > args.threshold else ""
         print(f"  {name}: {base:.1f} -> {now:.1f} {args.metric} "
               f"({delta_pct:+.1f}%){flag}")
