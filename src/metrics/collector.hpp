@@ -121,9 +121,9 @@ class Collector {
   /// Observers fired once per job the instant it reaches a terminal fate
   /// (rejected, completed, or killed), with the job's id, in registration
   /// order. core::AdmissionEngine registers one to reclaim job storage;
-  /// core::AdmissionGateway registers another to subtract the job's
-  /// fixed-point share from its fast-reject accumulator. Callbacks must not
-  /// call back into this Collector. remove_resolution_observer() is safe
+  /// core::AdmissionGateway registers another to audit the jobs it shed
+  /// (each must resolve as a rejection). Callbacks must not call back into
+  /// this Collector. remove_resolution_observer() is safe
   /// while other observers stay registered (tokens are stable); it must not
   /// be called from inside an observer.
   using ResolutionObserver = std::function<void(std::int64_t)>;

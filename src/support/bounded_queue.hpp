@@ -25,8 +25,9 @@
 //     producer that finds the queue refilled blocks for the next crossing.
 //
 // Deliberately not lock-free: the lock-free stage of the gateway is the
-// fast-reject accumulator, which runs *before* a job reaches this queue.
-// By the time a job is enqueued it has survived the cheap shed test, and
+// certificate gate, which runs *before* a job reaches this queue and reads
+// no aggregate state. By the time a job is enqueued it has survived the
+// cheap shed test, and
 // the bound is doing its real work (backpressure on producers so an engine
 // running slower than the submit rate cannot grow memory without limit).
 // The payload still changes hands under the mutex (release/acquire); the
