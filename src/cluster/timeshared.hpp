@@ -175,10 +175,10 @@ struct KernelStats {
 class TimeSharedExecutor {
  public:
   using CompletionHandler = std::function<void(const Job&, sim::SimTime finish)>;
-  /// Identifies a node class (see node_class()).
-  using ClassId = std::int32_t;
   using OverrunHandler = std::function<void(const Job&, int bumps)>;
   using KillHandler = std::function<void(const Job&, sim::SimTime when)>;
+  /// Identifies a node class (see node_class()).
+  using ClassId = std::int32_t;
 
   TimeSharedExecutor(sim::Simulator& simulator, const Cluster& cluster,
                      ShareModelConfig config = {});

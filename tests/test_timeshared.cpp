@@ -709,9 +709,7 @@ void run_random_class_sequence(ShareModelConfig config, std::uint64_t seed,
           split = split || was_same;
         }
       }
-      if (ca >= 0) {
-        EXPECT_EQ(executor.class_speed(ca), cluster.speed_factor(a));
-      }
+      EXPECT_EQ(executor.class_speed(ca), cluster.speed_factor(a));
     }
     coverage.formed += formed ? 1 : 0;
     coverage.split += split ? 1 : 0;
