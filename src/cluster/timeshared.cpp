@@ -96,6 +96,7 @@ TimeSharedExecutor::TimeSharedExecutor(sim::Simulator& simulator,
     if (c < 0) {
       c = new_class(speed);
       classes_[c].hash = key_seed(speed);
+      classes_[c].empty = c;
       empty_classes_.push_back(c);
     }
     node_class_[node] = c;
@@ -449,6 +450,7 @@ TimeSharedExecutor::ClassId TimeSharedExecutor::class_joined(ClassId from,
   c.tasks.assign(base.tasks.begin(), base.tasks.end());
   c.tasks.push_back(task);
   c.hash = key_step(base.hash, task->job->id);
+  c.empty = base.empty;
   index_insert(id);
   return id;
 }
@@ -456,6 +458,7 @@ TimeSharedExecutor::ClassId TimeSharedExecutor::class_joined(ClassId from,
 TimeSharedExecutor::ClassId TimeSharedExecutor::class_left(ClassId from,
                                                            std::size_t pos) {
   const NodeClass& base = classes_[from];
+  if (base.jobs.size() == 1) return base.empty;  // the lone resident leaves
   const auto gap = static_cast<std::ptrdiff_t>(pos);
   std::uint64_t hash = key_seed(base.speed);
   for (std::size_t i = 0; i < base.jobs.size(); ++i)
@@ -480,6 +483,7 @@ TimeSharedExecutor::ClassId TimeSharedExecutor::class_left(ClassId from,
   c.tasks.assign(old.tasks.begin(), old.tasks.end());
   c.tasks.erase(c.tasks.begin() + gap);
   c.hash = hash;
+  c.empty = old.empty;
   index_insert(id);
   return id;
 }

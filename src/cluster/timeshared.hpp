@@ -443,6 +443,7 @@ class TimeSharedExecutor {
     std::vector<Task*> tasks;  ///< parallel to `jobs`
     std::uint64_t hash = 0;    ///< of the key, for the interning index
     std::int32_t members = 0;  ///< nodes in the class
+    ClassId empty = -1;        ///< the empty class of this speed
     mutable ViewCache cache;
     /// Settle scratch, stamped with the settle serial: the dirty-set pass
     /// marks a class's tasks once, and its demand total (resident start
