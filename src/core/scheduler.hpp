@@ -32,9 +32,10 @@ struct AdmissionStats {
   /// that a FirstFit accept stops at its last chosen node.
   std::uint64_t nodes_scanned = 0;
   std::uint64_t assessments = 0;      ///< full share/risk evaluations run
-  /// Idle nodes decided without reading their view (ZeroRisk empty views;
-  /// Eq. 2 idle speed classes). For Libra, assessments + empty_node_skips
-  /// == nodes_scanned: every covered node is one or the other.
+  /// Idle nodes decided without a risk or share assessment of their own
+  /// (ZeroRisk empty views; Eq. 2 empty classes, one fit per speed). For
+  /// Libra, assessments + empty_node_skips == nodes_scanned: every covered
+  /// node is one or the other.
   std::uint64_t empty_node_skips = 0;
   std::uint64_t early_exits = 0;      ///< FirstFit scans stopped before the last node
   /// Of `assessments`, those served by the batched core::assess_nodes kernel
