@@ -982,6 +982,8 @@ void TimeSharedExecutor::check_invariants() const {
       continue;
     }
     LIBRISK_CHECK(c.members > 0 || empty[id], "class " << id << " live without members");
+    LIBRISK_CHECK(c.empty >= 0 && empty[c.empty] && classes_[c.empty].speed == c.speed,
+                  "class " << id << " names the wrong empty class");
     LIBRISK_CHECK(keys.emplace(c.speed, c.jobs).second,
                   "class " << id << " duplicates another live class's key");
     std::uint64_t hash = key_seed(c.speed);
