@@ -102,15 +102,17 @@ TimeSharedExecutor::TimeSharedExecutor(sim::Simulator& simulator,
     node_class_[node] = c;
     ++classes_[c].members;
   }
-  // A live class other than the empty ones has a member, so at most
-  // n + |empty| are live at once and at most n slots are free. Reserving
-  // the slots spares start() the moves of every class that growing the
-  // vector would cost (pages are touched only as classes are made).
-  const std::size_t most = n + empty_classes_.size();
+  // A live class other than the empty ones has a member, except the one a
+  // move has just made for the node about to join it, so at most
+  // n + 1 + |empty| are live at once and at most n + 1 slots are free.
+  // Reserving the slots spares start() the moves of every class that
+  // growing the vector would cost (pages are touched only as classes are
+  // made).
+  const std::size_t most = n + 1 + empty_classes_.size();
   class_index_.assign(std::bit_ceil(2 * most), -1);
   for (const ClassId c : empty_classes_) index_insert(c);
   classes_.reserve(most);
-  free_classes_.reserve(n);
+  free_classes_.reserve(n + 1);
   occupied_.pos.assign(n, -1);
   node_start_stamp_.assign(n, 0);
   node_touched_serial_.assign(n, 0);

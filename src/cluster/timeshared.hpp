@@ -508,8 +508,8 @@ class TimeSharedExecutor {
   std::vector<ClassId> free_classes_;   ///< recyclable slots
   /// Open-addressing (linear probing) index of the live classes by key;
   /// -1 = empty slot. Sized at construction to twice the most classes that
-  /// can be live at once (one per node plus the empty ones), so it never
-  /// grows.
+  /// can be live at once (one per node, one being made, and the empty
+  /// ones), so it never grows.
   std::vector<ClassId> class_index_;
   sim::SimTime last_settle_ = 0.0;
   sim::EventId pending_boundary_{};
