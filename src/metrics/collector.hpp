@@ -123,9 +123,9 @@ class Collector {
   /// order. core::AdmissionEngine registers one to reclaim job storage;
   /// core::AdmissionGateway registers another to audit the jobs it shed
   /// (each must resolve as a rejection). Callbacks must not call back into
-  /// this Collector. remove_resolution_observer() is safe
-  /// while other observers stay registered (tokens are stable); it must not
-  /// be called from inside an observer.
+  /// this Collector. remove_resolution_observer() is safe while other
+  /// observers stay registered (tokens are stable); it must not be called
+  /// from inside an observer.
   using ResolutionObserver = std::function<void(std::int64_t)>;
   using ObserverId = std::size_t;
   ObserverId add_resolution_observer(ResolutionObserver observer);

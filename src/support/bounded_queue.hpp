@@ -27,9 +27,9 @@
 // Deliberately not lock-free: the lock-free stage of the gateway is the
 // certificate gate, which runs *before* a job reaches this queue and reads
 // no aggregate state. By the time a job is enqueued it has survived the
-// cheap shed test, and
-// the bound is doing its real work (backpressure on producers so an engine
-// running slower than the submit rate cannot grow memory without limit).
+// cheap shed test, and the bound is doing its real work (backpressure on
+// producers so an engine running slower than the submit rate cannot grow
+// memory without limit).
 // The payload still changes hands under the mutex (release/acquire); the
 // atomics are only hints that tell a spinning consumer when to take it.
 // docs/CONCURRENCY.md §1 prices the spin; bench/e2e gateway-open and
