@@ -773,7 +773,7 @@ void TimeSharedExecutor::settle_and_reschedule() {
       for (const NodeId n : t->nodes) touch_node(n);
   }
 
-  // Invalidate the node caches whenever the observable state changed: work
+  // Invalidate the class views whenever the observable state changed: work
   // advanced, membership shrank, or an overrun bump re-estimated a job (any
   // of which also moves rates, recomputed below).
   const bool changed = time_advanced || !completed.empty() || !killed.empty() ||
