@@ -42,8 +42,7 @@ bool same_bits(std::span<const double> a, std::span<const double> b) noexcept {
 }
 
 /// Bitwise equality of two node views. Every scalar is deterministic even
-/// when its part was not requested; the gated share columns are compared
-/// only when populated.
+/// when its part was not requested.
 bool same_view(const NodeStateView& a, const NodeStateView& b) noexcept {
   const core::ResidentRiskAggregates& ra = a.risk_current;
   const core::ResidentRiskAggregates& rb = b.risk_current;
@@ -53,13 +52,9 @@ bool same_view(const NodeStateView& a, const NodeStateView& b) noexcept {
          same_bits(a.remaining_current, b.remaining_current) &&
          same_bits(a.remaining_deadline, b.remaining_deadline) &&
          same_bits(a.rate, b.rate) &&
-         ((a.parts & kStateSharesRaw) == 0 || same_bits(a.share_raw, b.share_raw)) &&
-         ((a.parts & kStateSharesCurrent) == 0 ||
-          same_bits(a.share_current, b.share_current)) &&
          same_bits(a.total_share_raw, b.total_share_raw) &&
          same_bits(a.total_share_current, b.total_share_current) &&
          same_bits(a.available_capacity, b.available_capacity) &&
-         same_bits(a.min_remaining_deadline, b.min_remaining_deadline) &&
          same_bits(ra.share_sum, rb.share_sum) && same_bits(ra.dd_sum, rb.dd_sum) &&
          same_bits(ra.dd_sum_sq, rb.dd_sum_sq) && same_bits(ra.dd_max, rb.dd_max) &&
          same_bits(ra.dd_min, rb.dd_min) && ra.count == rb.count &&
@@ -245,13 +240,10 @@ void TimeSharedExecutor::fill_view(double speed,
     cache.remaining_current.resize(n);
     cache.remaining_deadline.resize(n);
     cache.rate.resize(n);
-    cache.share_raw.resize(n);
-    cache.share_current.resize(n);
   }
   double total_raw = 0.0;
   double total_current = 0.0;
   double demand = 0.0;
-  double min_deadline = sim::kTimeInfinity;
   core::ResidentRiskAggregates agg;
   TaskTerms fresh;
   for (std::size_t i = 0; i < n; ++i) {
@@ -261,7 +253,6 @@ void TimeSharedExecutor::fill_view(double speed,
       terms = &task_terms(*t, speed, terms_wanted);
     else
       compute_terms(*t, speed, terms_wanted, fresh);
-    min_deadline = std::min(min_deadline, terms->remaining_deadline);
     if (want_raw) total_raw += terms->share_raw;
     if (want_cur) {
       total_current += terms->share_current;
@@ -274,8 +265,6 @@ void TimeSharedExecutor::fill_view(double speed,
       cache.remaining_current[i] = terms->remaining_current;
       cache.remaining_deadline[i] = terms->remaining_deadline;
       cache.rate[i] = t->rate;
-      if (want_raw) cache.share_raw[i] = terms->share_raw;
-      if (want_cur) cache.share_current[i] = terms->share_current;
     }
   }
   agg.computed = want_agg;
@@ -292,8 +281,6 @@ void TimeSharedExecutor::fill_view(double speed,
   cache.view.remaining_current = column(cache.remaining_current);
   cache.view.remaining_deadline = column(cache.remaining_deadline);
   cache.view.rate = column(cache.rate);
-  cache.view.share_raw = column(cache.share_raw);
-  cache.view.share_current = column(cache.share_current);
   cache.view.total_share_raw = total_raw;
   cache.view.total_share_current = total_current;
   // EqualShare has no notion of reserved shares: a non-empty node is fully
@@ -303,7 +290,6 @@ void TimeSharedExecutor::fill_view(double speed,
   cache.view.available_capacity = equal_share
                                       ? (n == 0 ? 1.0 : 0.0)
                                       : std::max(0.0, 1.0 - demand);
-  cache.view.min_remaining_deadline = min_deadline;
   cache.view.risk_current = agg;
   cache.view.residents = n;
   cache.view.parts = want;

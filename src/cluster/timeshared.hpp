@@ -89,14 +89,14 @@ struct TaskView {
 };
 
 /// Selector for which derived parts of a NodeStateView a caller needs.
-/// The resident count and min_remaining_deadline are always built; each
-/// flag below gates one part so policies that never read a part never pay
-/// for it: the per-resident columns, or one divide-per-resident family.
+/// The resident count is always built; each flag below gates one part so
+/// policies that never read a part never pay for it: the per-resident
+/// columns, or one divide-per-resident family.
 /// Flags accumulate in the cache: requesting a part another caller already
 /// built this instant is free.
 using NodeStateParts = std::uint8_t;
-inline constexpr NodeStateParts kStateSharesRaw = 1;      ///< total_share_raw (+ share_raw[] with Columns)
-inline constexpr NodeStateParts kStateSharesCurrent = 2;  ///< total_share_current (+ share_current[] with Columns)
+inline constexpr NodeStateParts kStateSharesRaw = 1;      ///< total_share_raw
+inline constexpr NodeStateParts kStateSharesCurrent = 2;  ///< total_share_current
 inline constexpr NodeStateParts kStateCapacity = 4;       ///< available_capacity
 inline constexpr NodeStateParts kStateRiskAggregates = 8; ///< risk_current (implies SharesCurrent)
 inline constexpr NodeStateParts kStateColumns = 16;       ///< the per-resident spans
@@ -119,14 +119,11 @@ struct NodeStateView {
   std::span<const double> remaining_current;    ///< overrun-bumped remaining work
   std::span<const double> remaining_deadline;   ///< seconds to absolute deadline (may be < 0)
   std::span<const double> rate;                 ///< current ref-seconds per second
-  std::span<const double> share_raw;            ///< required_share of remaining_raw [SharesRaw]
-  std::span<const double> share_current;        ///< required_share of remaining_current [SharesCurrent]
   double total_share_raw = 0.0;      ///< total demanded share, raw estimates (Eq. 2) [SharesRaw]
   double total_share_current = 0.0;  ///< total demanded share, current estimates [SharesCurrent]
   /// Fraction of capacity not allocated to jobs (always 0 in
   /// work-conserving modes, which use everything). [Capacity]
   double available_capacity = 1.0;
-  double min_remaining_deadline = 0.0;  ///< +inf when the node is empty
   /// Left-fold of the CurrentRate σ-risk resident terms in start order
   /// (share_current / observed rate), ready for core::assess_nodes'
   /// O(1)-per-node aggregate path. [RiskAggregates]
@@ -248,10 +245,6 @@ class TimeSharedExecutor {
     return empty_classes_;
   }
   [[nodiscard]] TaskView view(JobId id) const;
-  /// Which estimate a node's total demanded share is summed over: the
-  /// raw-estimate belief (Libra's Eq. 2) or the overrun-bumped current
-  /// estimate (the view's total_share_raw / total_share_current).
-  enum class EstimateKind { Raw, Current };
   /// Resident snapshot + aggregates for one node: the view of its class,
   /// so two members of one class return the same object. A populated
   /// class's view is valid for one (state epoch, instant) pair: any start,
@@ -427,8 +420,6 @@ class TimeSharedExecutor {
     std::vector<double> remaining_current;
     std::vector<double> remaining_deadline;
     std::vector<double> rate;
-    std::vector<double> share_raw;
-    std::vector<double> share_current;
     NodeStateView view;
   };
 

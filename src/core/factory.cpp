@@ -97,14 +97,10 @@ class SpaceSharedStack final : public SchedulerStack {
 LibraConfig libra_family_config(Policy policy, const PolicyOptions& options) {
   LibraConfig config = policy == Policy::LibraRisk ? LibraConfig::libra_risk()
                                                    : LibraConfig::libra();
-  // Carry over cross-cutting risk knobs without letting callers silently
-  // flip the policy-defining fields.
-  config.risk.deadline_clamp = options.share_model.deadline_clamp;
-  config.risk.prediction = options.risk.prediction;
-  config.risk.work_conserving_prediction = options.risk.work_conserving_prediction;
-  config.risk.tolerance = options.risk.tolerance;
-  config.risk.sigma_threshold = options.risk.sigma_threshold;
-  config.risk.rule = options.risk.rule;
+  // Carry over the cross-cutting risk knobs without letting callers
+  // silently flip the policy-defining fields. The scheduler replaces the
+  // deadline clamp with its executor's (options.share_model's).
+  config.risk = options.risk;
   if (options.selection_override) config.selection = *options.selection_override;
   return config;
 }

@@ -39,8 +39,8 @@ enum class Policy {
 struct PolicyOptions {
   /// Execution/share model for the time-shared executor (Libra family).
   cluster::ShareModelConfig share_model;
-  /// Libra-family overrides; admission/selection/estimate fields are
-  /// ignored (set from the policy), the rest apply.
+  /// Libra-family risk knobs. Its deadline_clamp is ignored: the scheduler
+  /// takes share_model's.
   RiskConfig risk;
   /// Overrides the Libra-family node-selection strategy when set.
   std::optional<LibraConfig::Selection> selection_override;

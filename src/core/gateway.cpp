@@ -28,13 +28,11 @@ AdmissionGateway::AdmissionGateway(GatewayConfig config)
   switch (config_.engine.policy) {
     case Policy::Libra:
       // Eq. 2 on the fastest node with an empty resident set is a lower
-      // bound on every node's total-share test. Capacity/tolerance are
-      // LibraConfig::libra() defaults, which make_scheduler never
-      // overrides; the clamp is the executor's share model.
+      // bound on every node's total-share test, against the same
+      // LibraConfig::kCapacity + kTolerance; the clamp is the executor's
+      // share model.
       model_.share_test = true;
       model_.deadline_clamp = config_.engine.options.share_model.deadline_clamp;
-      model_.share_capacity = LibraConfig{}.capacity;
-      model_.share_tolerance = LibraConfig{}.tolerance;
       break;
     case Policy::Edf:
     case Policy::EdfBackfill:
@@ -153,7 +151,7 @@ AdmissionGateway::Certificate AdmissionGateway::classify(
     const double share =
         cluster::required_share(job.scheduler_estimate, job.deadline,
                                 model_.deadline_clamp, model_.max_speed);
-    if (share > model_.share_capacity + model_.share_tolerance)
+    if (share > LibraConfig::kCapacity + LibraConfig::kTolerance)
       return Certificate::Share;
   }
   // C2-deadline: the dispatch-time test compares now + estimate/max_speed

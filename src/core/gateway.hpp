@@ -197,8 +197,6 @@ class AdmissionGateway {
     double max_speed = 1.0;
     bool share_test = false;  ///< C2-share (Libra/TotalShare)
     double deadline_clamp = 1.0;
-    double share_capacity = 1.0;
-    double share_tolerance = 1e-9;
     bool deadline_test = false;  ///< C2-deadline (EDF family, QoPS)
     double slack_factor = 1.0;
   };

@@ -13,7 +13,6 @@ LibraConfig LibraConfig::libra() {
   LibraConfig c;
   c.admission = Admission::TotalShare;
   c.selection = Selection::BestFit;
-  c.estimate_kind = cluster::TimeSharedExecutor::EstimateKind::Raw;
   return c;
 }
 
@@ -21,7 +20,6 @@ LibraConfig LibraConfig::libra_risk() {
   LibraConfig c;
   c.admission = Admission::ZeroRisk;
   c.selection = Selection::FirstFit;
-  c.estimate_kind = cluster::TimeSharedExecutor::EstimateKind::Current;
   return c;
 }
 
@@ -34,30 +32,23 @@ LibraScheduler::LibraScheduler(sim::Simulator& simulator,
       collector_(collector),
       config_(config),
       name_(std::move(name)) {
-  LIBRISK_CHECK(config_.capacity > 0.0, "node capacity must be positive");
-  // The executor's cached risk aggregates reuse is sound only when the
-  // admission test reads exactly what the executor folded: current-estimate
-  // remaining work, CurrentRate completion prediction, and the same
-  // deadline clamp on both sides (the factory guarantees clamp equality;
-  // hand-built configs may not).
+  // One deadline clamp for the share model and the risk assessment: the
+  // executor's.
+  config_.risk.deadline_clamp = executor_.config().deadline_clamp;
+  // The executor's cached risk aggregates fold exactly what the ZeroRisk
+  // test reads under the CurrentRate prediction: current-estimate terms at
+  // this clamp.
+  const bool zero_risk = config_.admission == LibraConfig::Admission::ZeroRisk;
   use_aggregates_ =
-      config_.admission == LibraConfig::Admission::ZeroRisk &&
-      config_.risk.prediction == RiskConfig::Prediction::CurrentRate &&
-      config_.estimate_kind ==
-          cluster::TimeSharedExecutor::EstimateKind::Current &&
-      config_.risk.deadline_clamp == executor_.config().deadline_clamp;
+      zero_risk && config_.risk.prediction == RiskConfig::Prediction::CurrentRate;
   // Both scans read aggregate-only views unless the ZeroRisk assessment
   // must fold the per-resident columns itself.
-  if (config_.admission == LibraConfig::Admission::ZeroRisk) {
-    scan_parts_ = use_aggregates_
-                      ? (cluster::kStateCapacity | cluster::kStateRiskAggregates)
-                      : (cluster::kStateCapacity | cluster::kStateColumns);
-  } else {
-    scan_parts_ =
-        config_.estimate_kind == cluster::TimeSharedExecutor::EstimateKind::Raw
-            ? cluster::kStateSharesRaw
-            : cluster::kStateSharesCurrent;
-  }
+  if (!zero_risk)
+    scan_parts_ = cluster::kStateSharesRaw;
+  else if (use_aggregates_)
+    scan_parts_ = cluster::kStateCapacity | cluster::kStateRiskAggregates;
+  else
+    scan_parts_ = cluster::kStateCapacity | cluster::kStateColumns;
   executor_.set_completion_handler(
       [this](const Job& job, sim::SimTime finish) {
         if (response_hist_ != nullptr)
@@ -88,41 +79,31 @@ bool LibraScheduler::node_suitable(cluster::NodeId node, const Job& job,
       const cluster::NodeStateView& state =
           executor_.node_state(node, scan_parts_);
       ++stats_.assessments;
-      const double resident_total =
-          config_.estimate_kind == cluster::TimeSharedExecutor::EstimateKind::Raw
-              ? state.total_share_raw
-              : state.total_share_current;
-      const double total = resident_total + new_job_share(job, node);
+      const double total = state.total_share_raw + new_job_share(job, node);
       fit = total;
       if (sigma_out != nullptr) *sigma_out = -1.0;  // no sigma in Eq. 2
-      return total <= config_.capacity + config_.tolerance;
+      return total <= LibraConfig::kCapacity + LibraConfig::kTolerance;
     }
     case LibraConfig::Admission::ZeroRisk: {
       const cluster::NodeStateView& state =
           executor_.node_state(node, scan_parts_);
       // Empty-node fast path: the assessment would see a single job, whose
-      // sigma (Eq. 6) is 0 by definition, so under the paper's sigma-only
-      // rule the node is suitable and the fit key collapses to the new
-      // job's own share — exactly what the full assessment returns.
-      if (state.empty() && config_.risk.rule == RiskConfig::Rule::SigmaOnly &&
-          0.0 <= config_.risk.sigma_threshold + config_.risk.tolerance) {
+      // sigma (Eq. 6) is 0 by definition, so the node is suitable and the
+      // fit key collapses to the new job's own share — exactly what the
+      // full assessment returns.
+      if (state.empty() &&
+          0.0 <= config_.risk.sigma_threshold + RiskConfig::kTolerance) {
         ++stats_.empty_node_skips;
-        // The assessment's total_share over [new job] alone, with the risk
-        // config's own clamp (it can differ from the executor's).
-        fit = cluster::required_share(job.scheduler_estimate, job.deadline,
-                                      config_.risk.deadline_clamp,
-                                      executor_.cluster().speed_factor(node));
+        fit = new_job_share(job, node);
         if (sigma_out != nullptr) *sigma_out = 0.0;
         return true;
       }
       ++stats_.assessments;
       ++stats_.batched_assessments;
-      const bool raw =
-          config_.estimate_kind == cluster::TimeSharedExecutor::EstimateKind::Raw;
       // Batch of one through the SoA kernel (the scan path batches wider;
       // this keeps introspection and the scan on the same arithmetic).
       NodeRiskInput input;
-      input.remaining_work = raw ? state.remaining_raw : state.remaining_current;
+      input.remaining_work = state.remaining_current;
       input.remaining_deadline = state.remaining_deadline;
       input.rate = state.rate;
       input.speed_factor = executor_.cluster().speed_factor(node);
@@ -253,8 +234,8 @@ void LibraScheduler::sample_nodes(obs::Series& series, sim::SimTime now) const {
   // Eq. 6 delay deviation over the node's residents as currently known —
   // *tentative* in the sense that no new job is added.
   const int cluster_size = executor_.cluster().size();
-  const bool raw =
-      config_.estimate_kind == cluster::TimeSharedExecutor::EstimateKind::Raw;
+  // Each test's own estimates: raw for Eq. 2, current for Eq. 6.
+  const bool raw = config_.admission == LibraConfig::Admission::TotalShare;
   for (cluster::NodeId n = 0; n < cluster_size; ++n) {
     const cluster::NodeStateView& state = executor_.node_state(n);
     double sigma = 0.0;
@@ -287,14 +268,15 @@ void LibraScheduler::sample_nodes(obs::Series& series, sim::SimTime now) const {
 
 double LibraScheduler::reject_job_margin(const Job& job, int suitable_count) {
   // Rebuild the failing-node deficits from the scan's per-node metrics. A
-  // node failed its decisive test iff the metric exceeds the configured
+  // node failed its decisive test iff the metric exceeds the test's
   // tolerance band — the same comparison the scan ran — and an
-  // unquantifiable shortfall (bound-skipped sigma, stored as +inf, or a
-  // delay failure whose sigma passed) contributes no finite deficit, so
-  // the near-miss counters undercount, never over.
+  // unquantifiable shortfall (bound-skipped sigma, stored as +inf)
+  // contributes no finite deficit, so the near-miss counters undercount,
+  // never over.
   const bool share = config_.admission == LibraConfig::Admission::TotalShare;
-  const double floor = share ? config_.capacity : config_.risk.sigma_threshold;
-  const double tol = share ? config_.tolerance : config_.risk.tolerance;
+  const double floor =
+      share ? LibraConfig::kCapacity : config_.risk.sigma_threshold;
+  const double tol = share ? LibraConfig::kTolerance : RiskConfig::kTolerance;
   // The smallest per-node improvement that would have admitted the job:
   // it needed k = num_procs - suitable more suitable nodes, so the k-th
   // smallest failing-node deficit is decisive. nth_element scrambles
@@ -323,7 +305,7 @@ double LibraScheduler::reject_job_margin(const Job& job, int suitable_count) {
     deficit = fail_deficit_[static_cast<std::size_t>(k) - 1];
   }
   const double scale =
-      share ? config_.capacity : std::max(config_.risk.sigma_threshold, 1.0);
+      share ? LibraConfig::kCapacity : std::max(config_.risk.sigma_threshold, 1.0);
   if (deficit <= 0.05 * scale)
     ++(share ? stats_.near_miss_share_5 : stats_.near_miss_sigma_5);
   if (deficit <= 0.10 * scale)
@@ -423,9 +405,7 @@ void LibraScheduler::submit(const Job& job) {
 }
 
 int LibraScheduler::scan_total_share(const Job& job) {
-  const bool raw =
-      config_.estimate_kind == cluster::TimeSharedExecutor::EstimateKind::Raw;
-  const double limit = config_.capacity + config_.tolerance;
+  constexpr double limit = LibraConfig::kCapacity + LibraConfig::kTolerance;
   const std::uint64_t submission = stats_.submissions;
   // new_job_share depends on the node only through its speed: one division
   // per run of classes of one speed serves all their nodes.
@@ -446,8 +426,7 @@ int LibraScheduler::scan_total_share(const Job& job) {
     if (v.submission != submission) {
       const cluster::NodeStateView& state = executor_.node_state(n, scan_parts_);
       v.submission = submission;
-      v.fit = (raw ? state.total_share_raw : state.total_share_current) +
-              share_at(executor_.class_speed(c));
+      v.fit = state.total_share_raw + share_at(executor_.class_speed(c));
       v.suitable = v.fit <= limit;
       v.offer = 0;
       scanned_.push_back(c);
@@ -501,14 +480,14 @@ void LibraScheduler::cover_total_share(const Job& job, sim::SimTime now,
   stats_.empty_node_skips += static_cast<std::uint64_t>(covered) - assessed;
   if (covered < cluster_size) ++stats_.early_exits;
   if (!tracing) return;
-  const double limit = config_.capacity + config_.tolerance;
+  constexpr double limit = LibraConfig::kCapacity + LibraConfig::kTolerance;
   for (cluster::NodeId n = 0; n < covered; ++n) {
     const double fit =
         class_verdict_[executor_.node_class(n)].fit;
     trace_->node_evaluated(
         now, job.id, n,
         fit <= limit ? trace::RejectionReason::None : scan_reason(),
-        /*sigma=*/-1.0, fit, config_.capacity - fit);  // Eq. 2 headroom
+        /*sigma=*/-1.0, fit, LibraConfig::kCapacity - fit);  // Eq. 2 headroom
   }
 }
 
@@ -523,13 +502,10 @@ constexpr std::size_t kBatchChunkMax = 64;
 void LibraScheduler::scan_zero_risk_batched(const Job& job, sim::SimTime now,
                                             bool tracing, bool can_stop_early) {
   const int cluster_size = executor_.cluster().size();
-  const bool raw =
-      config_.estimate_kind == cluster::TimeSharedExecutor::EstimateKind::Raw;
   // node_suitable's empty-node fast-path condition, hoisted: under it an
   // empty node's verdict counts as a skip, not an assessment.
   const bool empty_fast =
-      config_.risk.rule == RiskConfig::Rule::SigmaOnly &&
-      0.0 <= config_.risk.sigma_threshold + config_.risk.tolerance;
+      0.0 <= config_.risk.sigma_threshold + RiskConfig::kTolerance;
   AssessNodesOptions options;
   // The σ-spread bound rejects without computing the exact σ the
   // node_evaluated event must carry, so it only arms when no trace sink is
@@ -556,8 +532,7 @@ void LibraScheduler::scan_zero_risk_batched(const Job& job, sim::SimTime now,
           executor_.node_state(n, scan_parts_);
       v.empty = state.empty();
       NodeRiskInput input;
-      input.remaining_work =
-          raw ? state.remaining_raw : state.remaining_current;
+      input.remaining_work = state.remaining_current;
       input.remaining_deadline = state.remaining_deadline;
       input.rate = state.rate;
       input.speed_factor = executor_.class_speed(c);

@@ -34,24 +34,20 @@ struct LibraConfig {
   enum class Admission { TotalShare, ZeroRisk };
   enum class Selection { BestFit, FirstFit, WorstFit };
 
+  /// Share capacity of each node in the TotalShare test (the whole
+  /// processor), and that test's numeric tolerance.
+  static constexpr double kCapacity = 1.0;
+  static constexpr double kTolerance = 1e-9;
+
   Admission admission = Admission::TotalShare;
   Selection selection = Selection::BestFit;
-  /// Share capacity of each node (1.0 = the whole processor).
-  double capacity = 1.0;
-  /// Which remaining-work estimate the admission test reads: the raw user
-  /// estimate (Libra's Eq. 1) or the scheduler's current overrun-adjusted
-  /// estimate. Libra defaults to Raw, LibraRisk to Current.
-  cluster::TimeSharedExecutor::EstimateKind estimate_kind =
-      cluster::TimeSharedExecutor::EstimateKind::Raw;
-  /// Risk parameters (ZeroRisk admission only).
+  /// Risk parameters (ZeroRisk admission only). The scheduler takes the
+  /// deadline clamp from its executor's share model, whatever this holds.
   RiskConfig risk;
-  /// Numeric tolerance on the capacity test.
-  double tolerance = 1e-9;
 
-  /// The paper's Libra: total-share admission, best-fit, raw estimates.
+  /// The paper's Libra: total-share admission, best-fit.
   static LibraConfig libra();
-  /// The paper's LibraRisk: zero-risk admission, node-order selection,
-  /// overrun-aware estimates.
+  /// The paper's LibraRisk: zero-risk admission, node-order selection.
   static LibraConfig libra_risk();
 };
 
@@ -104,7 +100,7 @@ class LibraScheduler final : public Scheduler {
   /// ZeroRisk: sigma_threshold - sigma.
   [[nodiscard]] double node_margin(double fit, double sigma) const noexcept {
     return config_.admission == LibraConfig::Admission::TotalShare
-               ? config_.capacity - fit
+               ? LibraConfig::kCapacity - fit
                : config_.risk.sigma_threshold - sigma;
   }
   /// Shortfall-rejection bookkeeping: rebuilds the failing-node deficits
@@ -173,8 +169,8 @@ class LibraScheduler final : public Scheduler {
   std::vector<double> fail_deficit_;
   /// Decided once at construction: whether the executor's cached
   /// ResidentRiskAggregates can stand in for the per-resident fold (ZeroRisk
-  /// + CurrentRate + Current estimates + matching deadline clamps), and the
-  /// minimal NodeStateParts the admission scan needs from node_state().
+  /// + CurrentRate), and the minimal NodeStateParts the admission scan
+  /// needs from node_state().
   bool use_aggregates_ = false;
   cluster::NodeStateParts scan_parts_ = cluster::kStateAll;
   /// Grow-only buffers for the batched ZeroRisk scan; batch entry i is

@@ -11,22 +11,18 @@ namespace librisk::core {
 namespace {
 
 // Eq. 6 acceptance shared by the owning and the view result types.
-bool zero_risk_test(double sigma, double max_deadline_delay,
-                    const RiskConfig& config) noexcept {
-  if (sigma > config.sigma_threshold + config.tolerance) return false;
-  if (config.rule == RiskConfig::Rule::SigmaAndNoDelay)
-    return max_deadline_delay <= 1.0 + config.tolerance;
-  return true;
+bool zero_risk_test(double sigma, const RiskConfig& config) noexcept {
+  return sigma <= config.sigma_threshold + RiskConfig::kTolerance;
 }
 
 }  // namespace
 
 bool RiskAssessment::zero_risk(const RiskConfig& config) const noexcept {
-  return zero_risk_test(sigma, max_deadline_delay, config);
+  return zero_risk_test(sigma, config);
 }
 
 bool RiskAssessmentView::zero_risk(const RiskConfig& config) const noexcept {
-  return zero_risk_test(sigma, max_deadline_delay, config);
+  return zero_risk_test(sigma, config);
 }
 
 void processor_sharing_finish_times_into(std::span<const double> works,
@@ -149,9 +145,8 @@ RiskAssessmentView assess_node(std::span<const RiskJobInput> jobs,
       ws.finish_.assign(n, 0.0);
       for (std::size_t i = 0; i < n; ++i) {
         if (jobs[i].remaining_work <= 0.0) continue;
-        const double alloc =
-            cluster::allocate_one(ws.shares_[i], total - ws.shares_[i],
-                                  config.work_conserving_prediction);
+        const double alloc = cluster::allocate_one(
+            ws.shares_[i], total - ws.shares_[i], /*work_conserving=*/false);
         // alloc > 0 because remaining_work > 0 forces shares_[i] > 0.
         ws.finish_[i] = jobs[i].remaining_work / (alloc * speed_factor);
       }
@@ -332,7 +327,7 @@ void assess_nodes(std::span<const NodeRiskInput> nodes, double candidate_work,
     verdict.mu = dd_sum / static_cast<double>(n);
     verdict.sigma = sigma_from_sums(dd_sum, dd_sum_sq, n);
     verdict.max_deadline_delay = dd_max;
-    verdict.suitable = zero_risk_test(verdict.sigma, dd_max, config);
+    verdict.suitable = zero_risk_test(verdict.sigma, config);
   }
 }
 

@@ -42,34 +42,26 @@ struct RiskConfig {
   ///  - ProcessorSharing: equal-split time sharing (GridSim TimeShared
   ///    ablation, pairs with ExecutionMode::EqualShare).
   ///  - ProportionalShare: every job at its required share, scaled down
-  ///    uniformly on overload. Note the degeneracy: a uniform squeeze
-  ///    inflates every deadline_delay by the same factor, so sigma stays 0
-  ///    on uniformly overloaded nodes — kept for the ablation study only.
+  ///    uniformly on overload; spare capacity is not redistributed. Note the
+  ///    degeneracy: a uniform squeeze inflates every deadline_delay by the
+  ///    same factor, so sigma stays 0 on uniformly overloaded nodes — kept
+  ///    for the ablation study only.
   enum class Prediction { CurrentRate, ProcessorSharing, ProportionalShare };
   Prediction prediction = Prediction::CurrentRate;
-  /// ProportionalShare prediction only: redistribute spare capacity
-  /// (optimistic) instead of guaranteed shares (conservative).
-  bool work_conserving_prediction = false;
-  /// Numeric tolerance for the zero-risk test.
-  double tolerance = 1e-9;
-  /// Relaxation of the zero-risk rule: a node is suitable when
-  /// sigma <= sigma_threshold (paper: exactly 0). Raising it trades
-  /// deadline safety for acceptance; see bench/ablation_risk_threshold.
+  /// Relaxation of the zero-risk test: a node is suitable when
+  /// sigma <= sigma_threshold + kTolerance (paper: exactly 0). Raising it
+  /// trades deadline safety for acceptance; see bench/ablation_risk_threshold.
+  /// The test is the literal Eq. 6 one, and σ alone decides: a node
+  /// carrying a *single* predicted-late job still has sigma == 0, so a job
+  /// whose (over)estimated share exceeds a whole node can be admitted onto
+  /// an otherwise-empty node — a salvage lane where it runs at full speed
+  /// and, because user estimates are usually inflated, typically still
+  /// meets its deadline. This is the mechanism behind LibraRisk's reported
+  /// gains on short-deadline jobs; Libra's Eq. 2 test rejects those jobs
+  /// outright.
   double sigma_threshold = 0.0;
-  /// Which test declares a node suitable:
-  ///  - SigmaOnly (default): the literal Eq. 6 test, sigma == 0. Note its
-  ///    consequence: a node carrying a *single* predicted-late job still has
-  ///    sigma == 0, so a job whose (over)estimated share exceeds a whole
-  ///    node can be admitted onto an otherwise-empty node — a salvage lane
-  ///    where it runs at full speed and, because user estimates are usually
-  ///    inflated, typically still meets its deadline. This is the mechanism
-  ///    behind LibraRisk's reported gains on short-deadline jobs; Libra's
-  ///    Eq. 2 test rejects those jobs outright.
-  ///  - SigmaAndNoDelay: additionally require that no job has any predicted
-  ///    delay (all deadline_delay == 1). Stricter, closes the salvage lane;
-  ///    kept as an ablation.
-  enum class Rule { SigmaAndNoDelay, SigmaOnly };
-  Rule rule = Rule::SigmaOnly;
+  /// Numeric tolerance of the zero-risk test.
+  static constexpr double kTolerance = 1e-9;
 };
 
 /// Eq. 3 clamped at zero: a job completing before its deadline has no delay.
@@ -186,7 +178,7 @@ struct ResidentRiskAggregates {
 /// suitability): a population of N values with spread S = max - min has
 /// sigma >= S / sqrt(2N), and adding the admission candidate can only widen
 /// the spread, so when the residents' spread alone forces
-/// sigma > sigma_threshold + tolerance the node can be rejected without
+/// sigma > sigma_threshold + kTolerance the node can be rejected without
 /// evaluating the candidate. Shared by the kernel and the conservativeness
 /// property test. `n_with_candidate` counts residents + 1. The comparison
 /// carries a ~5e-10 relative slack so rounding in the exact test's σ can
@@ -197,7 +189,7 @@ struct ResidentRiskAggregates {
                                               std::size_t n_with_candidate,
                                               const RiskConfig& config) noexcept {
   const double threshold =
-      std::max(0.0, config.sigma_threshold + config.tolerance);
+      std::max(0.0, config.sigma_threshold + RiskConfig::kTolerance);
   if (threshold <= 0.0) return false;  // degenerate rule; exact test decides
   const double spread = dd_max - dd_min;
   if (!(spread > 0.0)) return false;  // empty/uniform (or min still +inf)
@@ -270,10 +262,10 @@ class RiskWorkspace {
 /// One node of a batched assessment, as structure-of-arrays spans over
 /// executor-owned storage (cluster::NodeStateView exposes exactly this
 /// layout). Spans must be index-aligned and ordered by resident start time;
-/// `remaining_work` carries whichever estimate kind (raw/current) the caller
-/// admits against. An input whose computed `aggregates` are used (the
-/// CurrentRate prediction) may leave all three spans empty: the aggregates
-/// carry the resident count.
+/// `remaining_work` is the estimate the caller admits against (LibraRisk:
+/// the current, overrun-bumped one). An input whose computed `aggregates`
+/// are used (the CurrentRate prediction) may leave all three spans empty:
+/// the aggregates carry the resident count.
 struct NodeRiskInput {
   std::span<const double> remaining_work;
   std::span<const double> remaining_deadline;
@@ -283,9 +275,9 @@ struct NodeRiskInput {
   /// Optional O(1) fast path: candidate-independent aggregates folded by the
   /// producer in resident order. Only pass when the producer's clamp/speed
   /// match `config` (RiskConfig::deadline_clamp equal to the executor's) and
-  /// the prediction is CurrentRate with `remaining_work` the same estimate
-  /// kind the aggregates were folded over; assess_nodes checks `computed`
-  /// but cannot verify those preconditions. Null → per-resident loop.
+  /// the prediction is CurrentRate with `remaining_work` the estimate the
+  /// aggregates were folded over; assess_nodes checks `computed` but cannot
+  /// verify those preconditions. Null → per-resident loop.
   const ResidentRiskAggregates* aggregates = nullptr;
 };
 

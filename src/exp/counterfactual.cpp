@@ -22,11 +22,7 @@ CounterfactualSweep sweep_sigma_thresholds(
   LIBRISK_CHECK(base.policy == core::Policy::LibraRisk,
                 "the counterfactual sigma sweep needs LibraRisk (the policy "
                 "whose admission test the threshold parameterises)");
-  LIBRISK_CHECK(base.options.risk.rule == core::RiskConfig::Rule::SigmaOnly,
-                "the stability-interval argument holds for the sigma-only "
-                "rule; SigmaAndNoDelay fails nodes for threshold-independent "
-                "reasons the recorded extremes cannot certify");
-  const double tolerance = base.options.risk.tolerance;
+  constexpr double tolerance = core::RiskConfig::kTolerance;
 
   // One cached entry per simulation actually run: the extremes certify the
   // threshold interval on which its decisions — hence its summary — are

@@ -3,8 +3,8 @@
 //
 // The paper's risk knob (Fig. 6) is the sigma threshold of the zero-risk
 // test. Sweeping it naively costs one full simulation per probed value.
-// But the sigma-only test `sigma <= threshold + tolerance` is monotone in
-// sigma, and a run whose trace feeds an obs::ExplainRecorder knows the
+// But the zero-risk test `sigma <= threshold + tolerance` (tolerance =
+// RiskConfig::kTolerance) is monotone in sigma, and a run whose trace feeds an obs::ExplainRecorder knows the
 // extremes of every sigma it tested (SigmaExtremes): the largest sigma that
 // passed and the smallest that failed. For any probe threshold T' where
 //
@@ -20,10 +20,9 @@
 // approximate — tests/test_counterfactual.cpp checks every point against an
 // independent rerun.
 //
-// Scope: the certification argument is specific to LibraRisk with the
-// sigma-only rule (the paper's default salvage lane). Other policies or the
-// SigmaAndNoDelay rule have threshold-independent failure modes the
-// extremes cannot see; sweep_sigma_thresholds() refuses them.
+// Scope: the certification argument is specific to LibraRisk, whose test
+// σ alone decides. Other policies have threshold-independent failure modes
+// the extremes cannot see; sweep_sigma_thresholds() refuses them.
 #pragma once
 
 #include <vector>
@@ -60,8 +59,7 @@ struct CounterfactualSweep {
                                               obs::ExplainRecorder& recorder);
 
 /// Fulfilled/summary vs sigma threshold, reusing certified-identical runs
-/// (see header comment). Requires policy == LibraRisk and
-/// risk.rule == SigmaOnly; throws otherwise.
+/// (see header comment). Requires policy == LibraRisk; throws otherwise.
 [[nodiscard]] CounterfactualSweep sweep_sigma_thresholds(
     const Scenario& base, const std::vector<double>& thresholds);
 

@@ -119,7 +119,6 @@ class Federation {
   Federation& operator=(const Federation&) = delete;
   ~Federation();
 
-  [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
   [[nodiscard]] RoutePolicy route_policy() const noexcept { return router_.policy(); }
 
   /// Routes and eagerly submits one job. Jobs must arrive monotone in

@@ -114,9 +114,6 @@ class Collector {
 
   /// True when every submitted job reached a terminal fate.
   [[nodiscard]] bool all_resolved() const noexcept;
-  [[nodiscard]] std::size_t submitted_count() const noexcept { return records_.size(); }
-  /// Jobs that reached a terminal fate so far.
-  [[nodiscard]] std::size_t resolved_count() const noexcept { return resolved_; }
 
   /// Observers fired once per job the instant it reaches a terminal fate
   /// (rejected, completed, or killed), with the job's id, in registration

@@ -1,9 +1,5 @@
 #include "obs/flight.hpp"
 
-#include <sstream>
-
-#include "support/table.hpp"
-
 namespace librisk::obs {
 
 FlightRecorder::FlightRecorder(FlightConfig config)
@@ -51,44 +47,6 @@ Histogram FlightRecorder::queue_wait_histogram() const {
 Histogram FlightRecorder::decide_histogram() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return decide_;
-}
-
-std::string FlightRecorder::dump() const {
-  // Copy out under the lock, render outside it.
-  const std::vector<FlightEntry> entries = snapshot();
-  Histogram waits = queue_wait_histogram();
-  Histogram decides = decide_histogram();
-  std::uint64_t total = recorded();
-
-  std::ostringstream os;
-  os << "flight recorder: last " << entries.size() << " of " << total
-     << " decisions\n";
-  if (waits.count() > 0)
-    os << "  queue-wait  p50 " << table::num(waits.quantile(50.0) * 1e6, 1)
-       << " us  p99 " << table::num(waits.quantile(99.0) * 1e6, 1)
-       << " us  max " << table::num(waits.max() * 1e6, 1) << " us\n";
-  if (decides.count() > 0)
-    os << "  decide      p50 " << table::num(decides.quantile(50.0) * 1e6, 1)
-       << " us  p99 " << table::num(decides.quantile(99.0) * 1e6, 1)
-       << " us  max " << table::num(decides.max() * 1e6, 1) << " us\n";
-  if (entries.empty()) return os.str();
-
-  table::Table t({"job", "verdict", "reason", "node", "sigma", "margin",
-                  "sim_t", "wait_us", "decide_us"});
-  for (const FlightEntry& e : entries) {
-    t.add_row({std::to_string(e.job_id),
-               std::string(trace::to_string(e.verdict)),
-               e.reason == trace::RejectionReason::None
-                   ? "-"
-                   : std::string(trace::to_string(e.reason)),
-               std::to_string(e.node),
-               e.sigma >= 0.0 ? table::num(e.sigma, 4) : "-",
-               table::num(e.margin, 4), table::num(e.sim_time, 2),
-               table::num(e.queue_wait * 1e6, 1),
-               table::num(e.decide_latency * 1e6, 1)});
-  }
-  os << t.str();
-  return os.str();
 }
 
 void FlightRecorder::clear() {

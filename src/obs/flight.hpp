@@ -12,16 +12,15 @@
 // wall-clock histograms (queue-wait and decide latency) that the gateway
 // merges into its registry at close() for OpenMetrics export.
 //
-// Threading: record() is called from the single drive thread; snapshot(),
-// the histogram copies and dump() may be called from any thread (the
-// monitoring path). A plain mutex guards the ring — the drive loop takes it
-// once per decision, never under a producer-visible lock, so producers are
+// Threading: record() is called from the single drive thread; snapshot()
+// and the histogram copies may be called from any thread (the monitoring
+// path). A plain mutex guards the ring — the drive loop takes it once per
+// decision, never under a producer-visible lock, so producers are
 // unaffected (docs/CONCURRENCY.md).
 #pragma once
 
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "obs/histogram.hpp"
@@ -71,10 +70,6 @@ class FlightRecorder {
   /// when disabled.
   [[nodiscard]] Histogram queue_wait_histogram() const;
   [[nodiscard]] Histogram decide_histogram() const;
-
-  /// Human rendering of snapshot() plus the latency quantiles, for an
-  /// on-demand incident dump.
-  [[nodiscard]] std::string dump() const;
 
   void clear();
 

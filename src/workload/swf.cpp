@@ -111,15 +111,13 @@ Job parse_job_fields(const std::vector<std::string_view>& tokens, int line_no) {
 
 // Applies the archive's cleaning rules; returns false when the job should
 // be dropped. Sets scheduler_estimate on kept jobs.
-bool clean_job(Job& job, bool estimate_fallback_to_runtime, bool skip_invalid) {
+bool clean_job(Job& job, bool estimate_fallback_to_runtime) {
   if (job.user_estimate <= 0.0) {
-    if (estimate_fallback_to_runtime && job.actual_runtime > 0.0)
-      job.user_estimate = job.actual_runtime;
-    else if (skip_invalid)
+    if (!estimate_fallback_to_runtime || job.actual_runtime <= 0.0)
       return false;
+    job.user_estimate = job.actual_runtime;
   }
-  if ((job.actual_runtime <= 0.0 || job.num_procs <= 0) && skip_invalid)
-    return false;
+  if (job.actual_runtime <= 0.0 || job.num_procs <= 0) return false;
   job.scheduler_estimate = job.user_estimate;
   return true;
 }
@@ -149,8 +147,7 @@ std::vector<Job> read(std::istream& in, const ReadOptions& opts) {
     tokenize(view, tokens);
     if (tokens.empty()) continue;
     Job job = parse_job_fields(tokens, line_no);
-    if (!clean_job(job, opts.estimate_fallback_to_runtime, opts.skip_invalid))
-      continue;
+    if (!clean_job(job, opts.estimate_fallback_to_runtime)) continue;
     jobs.push_back(job);
   }
 
@@ -208,8 +205,7 @@ bool SwfStream::next(Job& job) {
     tokenize(view, tokens_);
     if (tokens_.empty()) continue;
     Job parsed = parse_job_fields(tokens_, line_no_);
-    if (!clean_job(parsed, opts_.estimate_fallback_to_runtime,
-                   opts_.skip_invalid)) {
+    if (!clean_job(parsed, opts_.estimate_fallback_to_runtime)) {
       ++skipped_;
       continue;
     }
@@ -238,10 +234,8 @@ bool SwfStream::next(Job& job) {
       parsed.urgency = it->second.urgency;
       notes_.erase(it);
     }
-    if (opts_.rebase_submit_times) {
-      if (returned_ == 0) base_ = parsed.submit_time;
-      parsed.submit_time -= base_;
-    }
+    if (returned_ == 0) base_ = parsed.submit_time;
+    parsed.submit_time -= base_;
     ++returned_;
     job = parsed;
     return true;

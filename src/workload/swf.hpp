@@ -28,10 +28,9 @@ class ParseError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Both readers drop jobs whose runtime or processor count is missing (-1)
+/// or zero — the usual cleaning step before simulation.
 struct ReadOptions {
-  /// Drop jobs whose runtime or processor count is missing (-1) or zero —
-  /// the usual cleaning step before simulation.
-  bool skip_invalid = true;
   /// When an estimate is missing (-1), substitute the actual runtime
   /// (the archive's recommended fallback). If false, such jobs are dropped.
   bool estimate_fallback_to_runtime = true;
@@ -50,19 +49,15 @@ struct ReadOptions {
                                          const ReadOptions& opts = {});
 
 struct StreamOptions {
-  /// Drop jobs whose runtime or processor count is missing (-1) or zero.
-  bool skip_invalid = true;
   /// When an estimate is missing (-1), substitute the actual runtime.
   /// If false, such jobs are dropped.
   bool estimate_fallback_to_runtime = true;
-  /// Rebase submit times so the first returned job arrives at t = 0
-  /// (matching the batch reader). With require_monotone off a later job may
-  /// end up with a negative submit time; that is the caller's problem.
-  bool rebase_submit_times = true;
   /// Reject traces whose kept jobs are not submit-ordered. Streaming replay
   /// feeds an online engine that (correctly) refuses out-of-order arrivals,
   /// so the default fails fast at the parse with a line number instead of
-  /// deep inside the simulation.
+  /// deep inside the simulation. Submit times are rebased so the first
+  /// returned job arrives at t = 0 (matching the batch reader); with this
+  /// off, a later job may end up with a negative submit time.
   bool require_monotone = true;
 };
 
@@ -93,7 +88,7 @@ class SwfStream {
   /// 1-based number of the last line consumed (0 before the first next()).
   [[nodiscard]] int line_no() const noexcept { return line_no_; }
   [[nodiscard]] std::size_t jobs_returned() const noexcept { return returned_; }
-  /// Jobs dropped by the cleaning rules (skip_invalid / estimate fallback).
+  /// Jobs dropped by the cleaning rules (invalid fields / estimate fallback).
   [[nodiscard]] std::size_t jobs_skipped() const noexcept { return skipped_; }
   /// Deadline notes read but not yet matched to a job line. Bounded (≤ 1)
   /// for traces written by write(); a legacy all-notes-in-header trace keeps

@@ -49,7 +49,7 @@ std::vector<double> predict_finish_offsets(std::span<const RiskJobInput> jobs,
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (jobs[i].remaining_work <= 0.0) continue;
     const double alloc = cluster::allocate_one(shares[i], total_share - shares[i],
-                                               config.work_conserving_prediction);
+                                               /*work_conserving=*/false);
     // alloc > 0 because remaining_work > 0 forces shares[i] > 0.
     finish[i] = jobs[i].remaining_work / (alloc * speed_factor);
   }

@@ -175,35 +175,6 @@ TEST(RiskRuleEdge, SigmaThresholdAdmitsMildDispersion) {
   EXPECT_FALSE(a.zero_risk(config));
 }
 
-TEST(LibraEdge, CurrentEstimateKindSeesOverruns) {
-  // A hybrid config: Libra's total-share test but reading overrun-adjusted
-  // estimates. Unlike paper-Libra it must see the overrun job's demand.
-  sim::Simulator simulator;
-  const auto cl = cluster::Cluster::homogeneous(1, 1.0);
-  cluster::TimeSharedExecutor executor(simulator, cl);
-  metrics::Collector collector;
-  core::LibraConfig config = core::LibraConfig::libra();
-  config.estimate_kind = cluster::TimeSharedExecutor::EstimateKind::Current;
-  core::LibraScheduler scheduler(simulator, executor, collector, config,
-                                 "Libra-current");
-
-  const workload::Job sneaky =
-      JobBuilder(1).estimate(50.0).set_runtime(200.0).deadline(60.0).build();
-  collector.record_submitted(sneaky, 0.0);
-  scheduler.on_job_submitted(sneaky);
-  simulator.run_until(70.0);  // estimate exhausted, deadline blown
-  executor.sync();
-  ASSERT_TRUE(executor.is_running(1));
-
-  double fit = 0.0;
-  const workload::Job newcomer =
-      JobBuilder(2).submit(70.0).set_runtime(5.0).deadline(100.0).build();
-  // Current-estimate share of the overrun job is huge (deadline-clamped):
-  // the hybrid rejects where raw-estimate Libra would accept.
-  EXPECT_FALSE(scheduler.node_suitable(0, newcomer, fit));
-  EXPECT_GT(fit, 1.0);
-}
-
 TEST(EdfEdge, FeasibilityUsesFastestNodeOnMixedClusters) {
   // est 150 / deadline 100 is infeasible at speed 1 but feasible at 2.
   std::vector<cluster::NodeSpec> specs{{0, 168.0}, {1, 336.0}};

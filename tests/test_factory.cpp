@@ -81,13 +81,11 @@ TEST(MakeScheduler, RiskKnobsPropagate) {
   metrics::Collector collector;
   PolicyOptions options;
   options.share_model.deadline_clamp = 5.0;
-  options.risk.rule = RiskConfig::Rule::SigmaAndNoDelay;
   options.risk.prediction = RiskConfig::Prediction::ProcessorSharing;
   const auto stack =
       make_scheduler(Policy::LibraRisk, simulator, cluster, collector, options);
   const auto& scheduler = dynamic_cast<LibraScheduler&>(stack->scheduler());
   EXPECT_DOUBLE_EQ(scheduler.config().risk.deadline_clamp, 5.0);
-  EXPECT_EQ(scheduler.config().risk.rule, RiskConfig::Rule::SigmaAndNoDelay);
   EXPECT_EQ(scheduler.config().risk.prediction,
             RiskConfig::Prediction::ProcessorSharing);
 }

@@ -582,8 +582,8 @@ TEST(GatewayFlight, CapacityZeroDisablesTheRecorder) {
 
 TEST(GatewayFlight, ConcurrentSnapshotWhileDeciding) {
   // Monitoring-path race coverage (runs under TSan in CI): producers feed
-  // the gateway while a monitor thread snapshots the flight ring, renders
-  // dumps and reads live stats the whole time.
+  // the gateway while a monitor thread snapshots the flight ring, copies
+  // the decide histogram and reads live stats the whole time.
   core::GatewayConfig config = gateway_config(
       cluster::Cluster::homogeneous(16, 168.0), core::Policy::LibraRisk);
   config.queue_capacity = 64;
@@ -595,7 +595,7 @@ TEST(GatewayFlight, ConcurrentSnapshotWhileDeciding) {
     while (monitoring.load(std::memory_order_acquire)) {
       const std::vector<obs::FlightEntry> snap = gateway.flight().snapshot();
       EXPECT_LE(snap.size(), gateway.flight().capacity());
-      (void)gateway.flight().dump();
+      (void)gateway.flight().decide_histogram();
       const core::GatewayStats live = gateway.stats();
       EXPECT_GE(live.flight_recorded, last_recorded);  // monotone
       last_recorded = live.flight_recorded;

@@ -279,8 +279,9 @@ std::vector<Case> all_cases() {
                    "admission/hetero/" + policy_name(policy) + seed_tag(seed),
                    s);
     }
-  // Off-default risk knobs, which disable parts of the fast path (e.g. the
-  // empty-node skip under the strict rule).
+  // Off-default risk knobs, which take other paths through the scan (e.g.
+  // the per-resident fold in place of the cached aggregates under the other
+  // predictions).
   const std::pair<const char*, void (*)(exp::Scenario&)> variants[] = {
       {"processor-sharing",
        [](exp::Scenario& s) {
@@ -290,10 +291,6 @@ std::vector<Case> all_cases() {
       {"proportional-share",
        [](exp::Scenario& s) {
          s.options.risk.prediction = core::RiskConfig::Prediction::ProportionalShare;
-       }},
-      {"sigma-and-no-delay",
-       [](exp::Scenario& s) {
-         s.options.risk.rule = core::RiskConfig::Rule::SigmaAndNoDelay;
        }},
       {"sigma-threshold",
        [](exp::Scenario& s) { s.options.risk.sigma_threshold = 0.5; }},

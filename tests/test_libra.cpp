@@ -242,8 +242,8 @@ Reference reference_decision(Fixture& f, const workload::Job& job) {
       continue;
     }
     if (f.executor.node_jobs(n).empty()) r.idle_unsuitable = true;
-    if (fit - config.capacity > config.tolerance)
-      deficits.push_back(fit - config.capacity);
+    if (fit - LibraConfig::kCapacity > LibraConfig::kTolerance)
+      deficits.push_back(fit - LibraConfig::kCapacity);
   }
   r.covered = f.cluster.size();
   r.suitable = static_cast<int>(ok.size());
@@ -402,19 +402,13 @@ TEST(Libra, EqTwoScanMatchesPerNodeReference) {
     for (const LibraConfig::Selection selection :
          {LibraConfig::Selection::FirstFit, LibraConfig::Selection::BestFit,
           LibraConfig::Selection::WorstFit})
-      // Paper Libra reads raw estimates; the hybrid reads overrun-adjusted
-      // ones (LibraEdge.CurrentEstimateKindSeesOverruns).
-      for (const auto kind : {cluster::TimeSharedExecutor::EstimateKind::Raw,
-                              cluster::TimeSharedExecutor::EstimateKind::Current})
-        for (const std::uint64_t seed : {1u, 2u, 3u}) {
-          SCOPED_TRACE(::testing::Message()
-                       << name << " selection " << static_cast<int>(selection)
-                       << " estimate kind " << static_cast<int>(kind));
-          LibraConfig config = LibraConfig::libra();
-          config.selection = selection;
-          config.estimate_kind = kind;
-          run_differential(machine, config, seed, coverage);
-        }
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << name << " selection " << static_cast<int>(selection));
+        LibraConfig config = LibraConfig::libra();
+        config.selection = selection;
+        run_differential(machine, config, seed, coverage);
+      }
     SCOPED_TRACE(name);
     EXPECT_GT(coverage.all_idle, 0);
     EXPECT_GT(coverage.all_busy, 0);
@@ -441,12 +435,10 @@ TEST(LibraConfigTest, PresetsMatchPaper) {
   const LibraConfig libra = LibraConfig::libra();
   EXPECT_EQ(libra.admission, LibraConfig::Admission::TotalShare);
   EXPECT_EQ(libra.selection, LibraConfig::Selection::BestFit);
-  EXPECT_EQ(libra.estimate_kind, cluster::TimeSharedExecutor::EstimateKind::Raw);
 
   const LibraConfig risk = LibraConfig::libra_risk();
   EXPECT_EQ(risk.admission, LibraConfig::Admission::ZeroRisk);
   EXPECT_EQ(risk.selection, LibraConfig::Selection::FirstFit);
-  EXPECT_EQ(risk.estimate_kind, cluster::TimeSharedExecutor::EstimateKind::Current);
 }
 
 }  // namespace

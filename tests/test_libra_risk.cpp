@@ -136,16 +136,6 @@ TEST(LibraRisk, GangJobCountsZeroRiskNodes) {
   EXPECT_EQ(f.executor.node_jobs(2).size(), 1u);
 }
 
-TEST(LibraRisk, StricterRuleClosesSalvageLane) {
-  LibraConfig config = LibraConfig::libra_risk();
-  config.risk.rule = RiskConfig::Rule::SigmaAndNoDelay;
-  Fixture f(2, config);
-  const workload::Job job =
-      JobBuilder(1).estimate(300.0).set_runtime(80.0).deadline(100.0).build();
-  f.submit(job);
-  EXPECT_EQ(f.collector.record(1).fate, metrics::JobFate::RejectedAtSubmit);
-}
-
 TEST(LibraRisk, AgreesWithLibraOnAccurateEstimates) {
   // Under accurate estimates and no overruns the acceptance decisions of
   // the two policies coincide (DESIGN.md §3.2); selection differs.
@@ -226,7 +216,7 @@ Reference reference_decision(Fixture& f, const workload::Job& job) {
     r.nodes.push_back(node);
     if (node.suitable) ok.push_back(n);
     const double deficit = node.sigma - config.risk.sigma_threshold;
-    if (deficit > config.risk.tolerance) deficits.push_back(deficit);
+    if (deficit > RiskConfig::kTolerance) deficits.push_back(deficit);
   }
   r.covered = f.cluster.size();
   r.suitable = static_cast<int>(ok.size());
@@ -450,6 +440,58 @@ TEST(LibraRisk, ZeroRiskScanMatchesPerNodeReference) {
       EXPECT_GT(coverage.cross_speed_lists, 0);
     }
   }
+}
+
+TEST(LibraRisk, RiskClampComesFromExecutor) {
+  // A hand-built config whose risk clamp (5.0) differs from the executor's
+  // share model (1.0): the scheduler takes the executor's clamp, so it
+  // reports that clamp and decides exactly like the preset.
+  LibraConfig hand_built = LibraConfig::libra_risk();
+  hand_built.risk.deadline_clamp = 5.0;
+  Fixture preset(6);
+  Fixture hand(6, hand_built);
+  EXPECT_EQ(hand.scheduler.config().risk.deadline_clamp, 1.0);
+
+  rng::Stream stream(7);
+  std::deque<workload::Job> jobs;  // the executors keep pointers
+  for (int op = 0; op < 400; ++op) {
+    if (stream.bernoulli(0.3)) {
+      const sim::SimTime t = preset.simulator.now() + stream.uniform(0.0, 8.0);
+      advance_to(preset, t);
+      advance_to(hand, t);
+      continue;
+    }
+    // Under-estimates overrun and tight deadlines run late, so residents
+    // come within 5 s of their deadlines, where the two clamps differ.
+    const double runtime = stream.uniform(1.0, 20.0);
+    const double estimate =
+        stream.bernoulli(0.4) ? runtime * stream.uniform(0.3, 0.9) : runtime;
+    jobs.push_back(JobBuilder(op + 1)
+                       .submit(preset.simulator.now())
+                       .estimate(std::max(estimate, 1.0))
+                       .set_runtime(runtime)
+                       .deadline(runtime * stream.uniform(0.5, 3.0))
+                       .procs(static_cast<int>(stream.uniform_int(1, 3)))
+                       .build());
+    const workload::Job& job = jobs.back();
+    preset.submit(job);
+    hand.submit(job);
+    SCOPED_TRACE(::testing::Message() << "job " << job.id);
+    ASSERT_EQ(hand.executor.is_running(job.id),
+              preset.executor.is_running(job.id));
+    if (preset.executor.is_running(job.id)) {
+      EXPECT_EQ(hand.executor.view(job.id).nodes,
+                preset.executor.view(job.id).nodes);
+    }
+  }
+  const AdmissionStats& want = preset.scheduler.admission_stats();
+  const AdmissionStats& got = hand.scheduler.admission_stats();
+  EXPECT_GT(want.accepted, 0u);
+  EXPECT_GT(want.rejections, 0u);
+  EXPECT_EQ(got.accepted, want.accepted);
+  EXPECT_EQ(got.nodes_scanned, want.nodes_scanned);
+  EXPECT_EQ(got.assessments, want.assessments);
+  EXPECT_EQ(got.nodes_batch_skipped, want.nodes_batch_skipped);
 }
 
 }  // namespace

@@ -577,10 +577,6 @@ TEST(FlightRecorder, RingWrapsKeepingTheNewestOldestFirst) {
   EXPECT_EQ(rec.queue_wait_histogram().count(), 11u);
   EXPECT_EQ(rec.decide_histogram().count(), 11u);
 
-  const std::string dump = rec.dump();
-  EXPECT_NE(dump.find("job"), std::string::npos);
-  EXPECT_NE(dump.find("11"), std::string::npos);  // newest entry rendered
-
   rec.clear();
   EXPECT_TRUE(rec.snapshot().empty());
   EXPECT_EQ(rec.recorded(), 0u);

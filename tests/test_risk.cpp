@@ -119,10 +119,7 @@ TEST(AssessNode, SingleLateJobStillSigmaZero) {
   EXPECT_GT(a.predicted_delay[0], 0.0);
   EXPECT_GT(a.max_deadline_delay, 1.0);
   EXPECT_DOUBLE_EQ(a.sigma, 0.0);
-  EXPECT_TRUE(a.zero_risk(config));  // SigmaOnly default
-  RiskConfig strict = config;
-  strict.rule = RiskConfig::Rule::SigmaAndNoDelay;
-  EXPECT_FALSE(a.zero_risk(strict));
+  EXPECT_TRUE(a.zero_risk(config));
 }
 
 TEST(AssessNode, LateResidentMakesNodeRisky) {

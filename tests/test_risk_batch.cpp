@@ -51,8 +51,6 @@ NodeCase random_node(rng::Stream& s, std::size_t population) {
 RiskConfig random_config(rng::Stream& s, RiskConfig::Prediction prediction) {
   RiskConfig config;
   config.prediction = prediction;
-  config.rule = s.bernoulli(0.5) ? RiskConfig::Rule::SigmaOnly
-                                 : RiskConfig::Rule::SigmaAndNoDelay;
   // Mix thresholds that mostly reject, mostly accept, and sit at zero.
   const double pick = s.uniform();
   config.sigma_threshold =
@@ -82,7 +80,7 @@ NodeRiskInput to_batch_input(const NodeCase& node) {
   return input;
 }
 
-/// The executor-side fold (rebuild_node_cache's arithmetic), reproduced so
+/// The executor-side fold (fill_view's arithmetic), reproduced so
 /// the aggregate path is tested against an independently built cache.
 ResidentRiskAggregates fold_aggregates(const NodeCase& node,
                                        const RiskConfig& config) {

@@ -293,7 +293,6 @@ TEST(TimeShared, NodeStateAggregatesMatchAccessors) {
   EXPECT_DOUBLE_EQ(empty.total_share_raw, 0.0);
   EXPECT_DOUBLE_EQ(empty.total_share_current, 0.0);
   EXPECT_DOUBLE_EQ(empty.available_capacity, 1.0);
-  EXPECT_EQ(empty.min_remaining_deadline, sim::kTimeInfinity);
 
   const Job a = JobBuilder(1).set_runtime(100.0).deadline(400.0).build();
   const Job b = JobBuilder(2).set_runtime(50.0).deadline(1000.0).build();
@@ -312,7 +311,6 @@ TEST(TimeShared, NodeStateAggregatesMatchAccessors) {
                    f.executor.node_state(0, kStateCapacity).available_capacity);
   // shares: 100/400 + 50/1000 = 0.25 + 0.05
   EXPECT_NEAR(s.total_share_raw, 0.30, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min_remaining_deadline, 400.0);
   // Untouched node unaffected.
   EXPECT_TRUE(f.executor.node_state(1).empty());
 }
@@ -363,7 +361,6 @@ TEST(TimeShared, NodeStateRefreshesAfterTimeAdvances) {
   EXPECT_NEAR(s.remaining_raw[0], 50.0, 1e-9);
   EXPECT_DOUBLE_EQ(s.remaining_deadline[0], 200.0);
   EXPECT_NEAR(s.total_share_raw, share_before, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min_remaining_deadline, 200.0);
 }
 
 // The epoch bumps on every mutation that can invalidate a view (start,
@@ -416,7 +413,6 @@ TEST(TimeShared, EmptyNodeViewStableAcrossTime) {
     EXPECT_GT(f.executor.state_epoch(), e);
     const NodeStateView& idle2 = f.executor.node_state(1);
     EXPECT_TRUE(idle2.empty());
-    EXPECT_EQ(idle2.min_remaining_deadline, sim::kTimeInfinity);
     EXPECT_EQ(f.executor.kernel_stats().view_rebuilds, rebuilds)
         << "idle node rebuilt at t=" << t;
     (void)f.executor.node_state(0);
